@@ -28,7 +28,12 @@ around that observation:
   sampled from the exact geometric distribution and jumped in one go,
   preserving interaction counts and parallel time exactly), and a
   run-collapsing batch mode that applies a transition ``k`` times at once
-  while it is provably the only enabled choice.
+  while it is provably the only enabled choice.  It is also the one
+  place protocol-level faults are injected: a faulted run executes the
+  same loops between fault barriers, fires the due faults through an
+  :class:`~repro.resilience.IndexView`, and resumes; only the short
+  per-step fault windows take the slower :func:`_window_step` (see
+  :func:`run_fast_simulation` for the driver contract).
 
 Sampling invariants (why the fast path is distribution-equivalent):
 
@@ -111,10 +116,14 @@ class ModeTable:
     ``s`` (``weight_mult`` folds ``mult`` into the weight in enabled mode
     and is 1 in uniform mode); ``touch[s]`` lists the keys mentioning
     state ``s``; ``changing[i]`` flags keys with at least one
-    configuration-changing candidate.
+    configuration-changing candidate.  ``hot1[i]`` is the sole ``hot``
+    record of a single-candidate key (``None`` otherwise), so the common
+    case skips the tie-break draw; it is built here, once per table, so
+    that entering a loop costs O(1) however often a faulted run
+    re-enters it.
     """
 
-    __slots__ = ("keys", "touch", "changing", "srecs", "hot")
+    __slots__ = ("keys", "touch", "changing", "srecs", "hot", "hot1")
 
     def __init__(self, n_states: int, keys: list, fold_mult: bool):
         self.keys = tuple(keys)
@@ -143,6 +152,7 @@ class ModeTable:
                 srecs[b].append((i, a, off, m_eff))
         self.srecs = tuple(tuple(r) for r in srecs)
         self.hot = tuple(tuple((c[4], c[5], c[6]) for c in key[4]) for key in keys)
+        self.hot1 = tuple(h[0] if len(h) == 1 else None for h in self.hot)
 
 
 class TransitionTable:
@@ -249,6 +259,7 @@ class EnabledIndex:
         "changing",
         "srecs",
         "hot",
+        "hot1",
         "cnt",
         "w",
         "active",
@@ -275,6 +286,7 @@ class EnabledIndex:
         self.changing = mt.changing
         self.srecs = mt.srecs
         self.hot = mt.hot
+        self.hot1 = mt.hot1
         n_states = len(self.table.states)
         self.cnt: List[int] = [0] * n_states
         self.w: List[int] = [0] * len(self.keys)
@@ -592,6 +604,68 @@ def _batch_length(
 # ----------------------------------------------------------------------
 # The fast simulation drivers
 # ----------------------------------------------------------------------
+#: Loop exit statuses: ``stop`` reached, provably silent, the output held
+#: for the convergence window, or the wall-clock deadline passed.
+_STOP, _SILENT, _CONVERGED, _DEADLINE = range(4)
+
+
+class _Run:
+    """The state of one fast run that outlives a loop segment.
+
+    A faulted run enters the loops once per stretch between fault
+    barriers; each loop loads these fields into locals on entry and
+    stores them back on every exit, and only the driver turns them into
+    a result.  ``m`` is the live population size, refreshed at barriers.
+    """
+
+    __slots__ = (
+        "interactions",
+        "productive",
+        "stable_since",
+        "out",
+        "conv_at",
+        "accept",
+        "m",
+        "window",
+        "trace",
+        "ticks",
+    )
+
+    def __init__(self, index, m, out, window, trace):
+        self.interactions = 0
+        self.productive = 0
+        self.stable_since = 0
+        self.out = out
+        self.conv_at = window if out is not None else _NEVER
+        self.accept = sum(
+            c for c, acc in zip(index.cnt, index.table.accepting) if acc
+        )
+        self.m = m
+        self.window = window
+        self.trace = trace
+        self.ticks = 0
+
+    def refresh_output(self, obs) -> None:
+        """Re-derive the output from ``accept`` and ``m`` and record a
+        flip.  An empty population (``m == 0``) has no output."""
+        accept, m = self.accept, self.m
+        out = (True if accept == m else (False if accept == 0 else None)) if m else None
+        if out != self.out:
+            self.out = out
+            self.stable_since = self.productive
+            self.conv_at = self.productive + self.window if out is not None else _NEVER
+            self.trace.append((self.interactions, out))
+            if obs is not None:
+                obs.on_output_flip(self.interactions, out, LAYER_PROTOCOL)
+
+    def past_deadline(self, deadline_at) -> bool:
+        """One tick of the deadline clock, read every 256 ticks."""
+        if deadline_at is None:
+            return False
+        self.ticks += 1
+        return not self.ticks & 255 and monotonic() >= deadline_at
+
+
 def run_fast_simulation(
     protocol: PopulationProtocol,
     current: Multiset,
@@ -616,98 +690,120 @@ def run_fast_simulation(
     array and materialise configurations only at observation points and at
     exit, which is what makes per-step cost O(Δ).
 
-    ``injector`` (a bound :class:`repro.resilience.FaultInjector`) routes
-    the run through the dedicated fault loops — separate functions, so
-    uninjected runs pay nothing and stay bit-identical to previous
-    releases.  ``deadline_at`` is an absolute ``time.monotonic()`` bound;
-    past it the loops return a verdictless result flagged
-    ``deadline_exceeded``.
+    ``deadline_at`` is an absolute ``time.monotonic()`` bound; past it the
+    run returns a verdictless result flagged ``deadline_exceeded``.
+
+    ``injector`` (a bound :class:`repro.resilience.FaultInjector`) splits
+    the run at its fault barriers.  The driver contract:
+
+    * a trigger fires at the top of its step through an
+      :class:`~repro.resilience.IndexView`; the view's ``accept_delta``
+      and ``size_delta`` are folded into the run (which re-derives
+      ``T = m(m−1)`` in uniform mode) and the output is recomputed;
+    * between barriers the uninjected loops run unchanged, with
+      ``min(next_at, max_interactions)`` as their stop: a batch collapse
+      is cut there and resumed after the fire, and a geometric null run
+      is cut there and re-drawn after the fire (null runs are memoryless,
+      so the law is the same);
+    * the short per-step windows — an armed drop or duplicate token, an
+      unfair or adversarial step — go one step at a time through
+      :func:`_window_step`, shared by both modes;
+    * a silent configuration with a pending trigger within the budget
+      fast-forwards to that trigger (one ``null_skip`` batch): silence
+      is final only once the plan is drained.
+
+    Uninjected runs take the loops once, with ``max_interactions`` as the
+    stop, and stay bit-identical to earlier releases.
     """
-    if isinstance(scheduler, FastUniformScheduler):
-        index = EnabledIndex(protocol, current, mode="uniform")
-        if injector is not None:
-            return _uniform_fault_loop(
-                index,
-                population=population,
-                rng=rng,
-                inj=injector,
-                tie_first=scheduler.tie_break == "first",
-                max_interactions=max_interactions,
-                convergence_window=convergence_window,
-                check_silence_every=check_silence_every,
-                obs=obs,
-                trace=trace,
-                stable_output=stable_output,
+    uniform = isinstance(scheduler, FastUniformScheduler)
+    index = EnabledIndex(protocol, current, mode="uniform" if uniform else "enabled")
+    run = _Run(index, population, stable_output, convergence_window, trace)
+    tie_first = uniform and scheduler.tie_break == "first"
+
+    def segment(stop):
+        if uniform:
+            return _uniform_loop(
+                index, run, rng=rng, tie_first=tie_first, stop=stop,
+                check_silence_every=check_silence_every, obs=obs,
                 deadline_at=deadline_at,
             )
-        return _uniform_loop(
-            index,
-            population=population,
-            rng=rng,
-            tie_first=scheduler.tie_break == "first",
-            max_interactions=max_interactions,
-            convergence_window=convergence_window,
-            check_silence_every=check_silence_every,
-            obs=obs,
-            trace=trace,
-            stable_output=stable_output,
-            deadline_at=deadline_at,
+        return _enabled_loop(
+            index, run, rng=rng, stop=stop, obs=obs, deadline_at=deadline_at
         )
-    index = EnabledIndex(protocol, current, mode="enabled")
-    if injector is not None:
-        return _enabled_fault_loop(
-            index,
-            population=population,
-            rng=rng,
-            inj=injector,
-            max_interactions=max_interactions,
-            convergence_window=convergence_window,
-            obs=obs,
-            trace=trace,
-            stable_output=stable_output,
-            deadline_at=deadline_at,
-        )
-    return _enabled_loop(
-        index,
-        population=population,
-        rng=rng,
-        max_interactions=max_interactions,
-        convergence_window=convergence_window,
-        obs=obs,
-        trace=trace,
-        stable_output=stable_output,
-        deadline_at=deadline_at,
-    )
+
+    inj = injector
+    if inj is None:
+        status = segment(max_interactions)
+    else:
+        from repro.resilience.faults import IndexView
+
+        view = IndexView(index)
+        while True:
+            if run.interactions >= max_interactions:
+                status = _STOP
+                break
+            if run.interactions >= inj.next_at:
+                view.accept_delta = view.size_delta = 0
+                inj.fire(run.interactions, view, obs)
+                run.accept += view.accept_delta
+                run.m += view.size_delta
+                run.refresh_output(obs)
+            stop = min(inj.next_at, max_interactions)
+            if index.total > 0 and inj.window_open(run.interactions + 1):
+                status = _window_step(
+                    index, run, inj, rng, uniform=uniform, tie_first=tie_first,
+                    stop=stop, obs=obs, deadline_at=deadline_at,
+                )
+            else:
+                status = segment(stop)
+            if status == _SILENT and inj.next_at <= max_interactions:
+                nxt = int(inj.next_at)
+                if obs is not None and nxt > run.interactions:
+                    obs.on_batch(nxt, kind="null_skip", count=nxt - run.interactions)
+                run.interactions = nxt
+            elif status != _STOP:
+                break
+
+    if status == _DEADLINE:
+        return _result(index, run, inj, obs, None, False, deadline_exceeded=True)
+    if status == _CONVERGED:
+        return _result(index, run, inj, obs, run.out, False)
+    if status == _SILENT and not uniform:
+        # No productive transition enabled: provably silent, matching the
+        # legacy enabled scheduler's single null step + break.
+        run.interactions += 1
+        if obs is not None:
+            obs.on_scheduler_select(
+                run.interactions,
+                scheduler="fast_enabled",
+                null=True,
+                candidates=0,
+                weight=0,
+            )
+            obs.on_interaction(run.interactions, None, None, False)
+            obs.on_silence_check(run.interactions, True)
+    silent = index.is_silent_now()
+    return _result(index, run, inj, obs, run.out if silent else None, silent)
 
 
 def _snapshot_dict(states, cnt):
     return {states[s]: c for s, c in enumerate(cnt) if c}
 
 
-def _result(
-    index,
-    interactions,
-    productive,
-    population,
-    trace,
-    verdict,
-    silent,
-    obs,
-    deadline_exceeded=False,
-    joined=0,
-    departed=0,
-):
+def _result(index, run, inj, obs, verdict, silent, deadline_exceeded=False):
     from repro.core.simulation import SimulationResult  # late: avoids cycle
 
+    joined = inj.joined if inj is not None else 0
+    departed = inj.departed if inj is not None else 0
     if obs is not None:
         obs.on_run_end(
-            interactions,
+            run.interactions,
             LAYER_PROTOCOL,
             verdict=verdict,
             silent=silent,
-            interactions=interactions,
-            productive=productive,
-            population=population,
+            interactions=run.interactions,
+            productive=run.productive,
+            population=run.m,
             deadline_exceeded=deadline_exceeded,
             enabled_keys=len(index.active),
             index_churn=index.churn,
@@ -718,86 +814,180 @@ def _result(
         final=Multiset(_snapshot_dict(index.table.states, index.cnt)),
         verdict=verdict,
         silent=silent,
-        interactions=interactions,
-        productive=productive,
-        population=population,
-        output_trace=trace,
+        interactions=run.interactions,
+        productive=run.productive,
+        population=run.m,
+        output_trace=run.trace,
         deadline_exceeded=deadline_exceeded,
         joined=joined,
         departed=departed,
     )
 
 
-def _enabled_loop(
+def _window_step(
     index: EnabledIndex,
-    *,
-    population,
+    run: _Run,
+    inj,
     rng,
-    max_interactions,
-    convergence_window,
+    *,
+    uniform,
+    tie_first,
+    stop,
     obs,
-    trace,
-    stable_output,
-    deadline_at=None,
+    deadline_at,
 ):
+    """One step inside a per-step fault window, in either mode; returns
+    a loop exit status (``_STOP`` to carry on).
+
+    Fault semantics:
+
+    * inside an unfair window the sampler is bypassed: the lowest-indexed
+      active key with a configuration-changing candidate (first such
+      candidate) is played;
+    * inside an adversarial window the worst-case pick
+      (:func:`repro.resilience.churn.adversarial_index_pick`) replaces
+      fair sampling, except on the fairness-budget steps the injector's
+      ``take_adversarial`` yields back;
+    * both kinds of pick consume no randomness, so a window's choices
+      never shift the downstream random stream, and in uniform mode they
+      come with no null run (the adversary always schedules an
+      interacting pair); elsewhere the geometric null run is capped at
+      ``stop``;
+    * a drop token makes the step count but change nothing; a duplicate
+      token re-applies a productive step once more while its key is
+      still enabled, as productive work but not as a step.
+    """
+    from repro.resilience.churn import adversarial_index_pick
+
+    if run.past_deadline(deadline_at):
+        return _DEADLINE
+    active = index.active
+    hot = index.hot
+    total = index.total
+    step = run.interactions + 1
+    if uniform and step > inj.unfair_until and step > inj.adv_until:
+        T = run.m * (run.m - 1)
+        if total < T:
+            nulls = int(log(1.0 - rng.random()) / log((T - total) / T))
+            if nulls:
+                span = min(nulls, stop - run.interactions)
+                run.interactions += span
+                if obs is not None:
+                    obs.on_batch(run.interactions, kind="null_skip", count=span)
+                if run.interactions >= stop:
+                    return _STOP
+                step = run.interactions + 1
+    run.interactions = step
+
+    if step <= inj.unfair_until:
+        changing = index.changing
+        i = min((k for k in active if changing[k]), default=min(active))
+        j = next((j for j, c in enumerate(hot[i]) if c[0]), 0)
+        picked_by = "unfair"
+    elif step <= inj.adv_until and inj.take_adversarial():
+        i, j = adversarial_index_pick(index, run.accept, run.m, run.out)
+        picked_by = "adversarial"
+    else:
+        i = index.sample_key(rng)
+        n = len(hot[i])
+        j = int(rng.random() * n) if n > 1 and not tie_first else 0
+        picked_by = "fast_uniform" if uniform else "fast_enabled"
+    ch, ad, deltas = hot[i][j]
+    t = index.keys[i][4][j][7] if obs is not None else None
+    if obs is not None:
+        if picked_by in ("unfair", "adversarial"):
+            candidates = 1
+        elif uniform:
+            candidates = len(hot[i])
+        else:
+            candidates = sum(index.keys[k][3] for k in active)
+        obs.on_scheduler_select(
+            step, scheduler=picked_by, null=False, candidates=candidates,
+            weight=total,
+        )
+
+    if inj.drop_left and inj.take_drop():
+        if obs is not None:
+            obs.on_fault(step, "drop", LAYER_PROTOCOL, transition=repr(t))
+            obs.on_interaction(step, None, (t.q, t.r), False)
+        return _STOP
+
+    _apply(index, run, ch, ad, deltas)
+    if obs is not None:
+        obs.on_interaction(step, t, (t.q, t.r), bool(ch))
+        snapshot_every = obs.snapshot_interval
+        if snapshot_every and step % snapshot_every == 0:
+            obs.on_snapshot(
+                step, _snapshot_dict(index.table.states, index.cnt), LAYER_PROTOCOL
+            )
+    if ad:
+        run.refresh_output(obs)
+
+    if ch and inj.duplicate_left and index.w[i] > 0 and inj.take_duplicate():
+        _apply(index, run, ch, ad, deltas)
+        if obs is not None:
+            obs.on_fault(step, "duplicate", LAYER_PROTOCOL, transition=repr(t))
+        if ad:
+            run.refresh_output(obs)
+    return _CONVERGED if run.productive >= run.conv_at else _STOP
+
+
+def _apply(index, run, ch, ad, deltas):
+    """Apply one candidate's net deltas through the repairing index."""
+    if ch:
+        run.productive += 1
+        cnt = index.cnt
+        for s, d in deltas:
+            cnt[s] += d
+        for s, _d in deltas:
+            index.fix_state(s)
+        run.accept += ad
+
+
+def _enabled_loop(index: EnabledIndex, run: _Run, *, rng, stop, obs, deadline_at):
+    """Enabled-mode steps from ``run`` until ``run.interactions`` reaches
+    ``stop`` or the run ends; returns the exit status."""
     states = index.table.states
-    accepting = index.table.accepting
     cnt = index.cnt
     w = index.w
     srecs = index.srecs
     active = index.active
     activepos = index.activepos
     hot = index.hot
-    kcands = tuple(key[4] for key in index.keys)
-    kmult = tuple(key[3] for key in index.keys)
-    # Single-candidate keys (the common case) skip the tie-break draw and
-    # the length check entirely.
-    hot1 = tuple(h[0] if len(h) == 1 else None for h in index.hot)
-    changing = index.changing
+    hot1 = index.hot1
+    keys = index.keys
     fix_state = index.fix_state
     rnd = rng.random
     randrange = rng.randrange
 
     snapshot_every = obs.snapshot_interval if obs is not None else None
-    interactions = 0
-    productive = 0
-    stable_since = 0
-    accept = sum(cnt[s] for s in range(len(states)) if accepting[s])
-    m = population
-    out = stable_output
-    conv_at = stable_since + convergence_window if out is not None else _NEVER
+    convergence_window = run.window
+    interactions = run.interactions
+    productive = run.productive
+    stable_since = run.stable_since
+    accept = run.accept
+    m = run.m
+    out = run.out
+    conv_at = run.conv_at
+    trace = run.trace
+    ticks = run.ticks
     total = index.total
-    ticks = 0
+    status = _STOP
 
-    while interactions < max_interactions:
+    while interactions < stop:
         if deadline_at is not None:
             ticks += 1
             if not ticks & 255 and monotonic() >= deadline_at:
-                index.total = total
-                return _result(
-                    index, interactions, productive, population, trace,
-                    None, False, obs, deadline_exceeded=True,
-                )
+                status = _DEADLINE
+                break
         if total <= 0:
-            # No productive transition enabled: provably silent, matching
-            # the legacy enabled scheduler's single null step + break.
-            interactions += 1
-            if obs is not None:
-                obs.on_scheduler_select(
-                    interactions,
-                    scheduler="fast_enabled",
-                    null=True,
-                    candidates=0,
-                    weight=0,
-                )
-                obs.on_interaction(interactions, None, None, False)
-                obs.on_silence_check(interactions, True)
+            status = _SILENT
             break
 
         # ---- run-collapsing batch mode -------------------------------
         if len(active) == 1:
             i = active[0]
-            cands = kcands[i]
+            cands = keys[i][4]
             if len(cands) == 1:
                 cand = cands[0]
                 ch = cand[4]
@@ -806,7 +996,7 @@ def _enabled_loop(
                     index,
                     i,
                     cand,
-                    budget=max_interactions - interactions,
+                    budget=stop - interactions,
                     window_left=(
                         convergence_window - (productive - stable_since)
                         if (out is not None and ch)
@@ -866,11 +1056,8 @@ def _enabled_loop(
                                     interactions, out, LAYER_PROTOCOL
                                 )
                     if productive >= conv_at:
-                        index.total = total
-                        return _result(
-                            index, interactions, productive, population,
-                            trace, out, False, obs,
-                        )
+                        status = _CONVERGED
+                        break
                     continue
 
         # ---- one sampled step ----------------------------------------
@@ -897,7 +1084,7 @@ def _enabled_loop(
         if obs is not None:
             ncand = 0
             for k2 in active:
-                ncand += kmult[k2]
+                ncand += keys[k2][3]
             obs.on_scheduler_select(
                 interactions,
                 scheduler="fast_enabled",
@@ -934,7 +1121,7 @@ def _enabled_loop(
                                 activepos[last] = pos
 
         if obs is not None:
-            t = kcands[i][j][7]
+            t = keys[i][4][j][7]
             obs.on_interaction(interactions, t, (t.q, t.r), bool(ch))
             if snapshot_every and interactions % snapshot_every == 0:
                 obs.on_snapshot(
@@ -956,655 +1143,77 @@ def _enabled_loop(
                 if obs is not None:
                     obs.on_output_flip(interactions, out, LAYER_PROTOCOL)
         if productive >= conv_at:
-            index.total = total
-            return _result(
-                index, interactions, productive, population, trace, out,
-                False, obs,
-            )
+            status = _CONVERGED
+            break
 
     index.total = total
-    silent = not any(changing[j2] for j2 in active)
-    return _result(
-        index, interactions, productive, population, trace,
-        out if silent else None, silent, obs,
-    )
-
-
-def _enabled_fault_loop(
-    index: EnabledIndex,
-    *,
-    population,
-    rng,
-    inj,
-    max_interactions,
-    convergence_window,
-    obs,
-    trace,
-    stable_output,
-    deadline_at=None,
-):
-    """Enabled-mode driver with fault injection.
-
-    A separate function rather than branches in :func:`_enabled_loop`:
-    uninjected runs keep their hot loop byte-for-byte (no perf or golden-
-    trace risk), and this loop can afford clarity over micro-optimisation
-    — it skips batch collapse and always works through ``index.total`` so
-    the :class:`EnabledIndex` invariant (checkable via ``validate``)
-    holds at *every* step boundary, including immediately after a fault.
-
-    Fault semantics (identical in the uniform twin below):
-
-    * due faults fire at the top of the step, through an
-      :class:`~repro.resilience.IndexView` whose ``accept_delta`` keeps
-      the O(Δ) output tracking exact;
-    * a provably silent configuration with pending triggers fast-forwards
-      to the next trigger instead of terminating — a corruption can
-      re-enable transitions, so silence is only final once the plan is
-      drained;
-    * inside an unfair window the sampler is bypassed: the lowest-indexed
-      active key with a configuration-changing candidate (first such
-      candidate) is played deterministically, consuming no randomness —
-      so the window's length never shifts the downstream random stream
-      relative to a run whose window differs only in adversarial choices;
-    * join/leave faults resize the population: the view repairs the index
-      (``grow``/``shrink`` + ``fix_state``) and reports ``size_delta``,
-      from which the loop refreshes its cached ``m`` (and ``T = m(m-1)``
-      in the uniform twin) — the only two places the fast path ever
-      captured the population size;
-    * inside an adversarial-scheduler window the worst-case enabled pick
-      (:func:`repro.resilience.churn.adversarial_index_pick`) replaces
-      fair sampling, except on the fairness-budget steps the injector's
-      ``take_adversarial`` yields back; like the unfair window, the
-      adversarial choice consumes no randomness.
-    """
-    from repro.resilience.churn import adversarial_index_pick
-    from repro.resilience.faults import IndexView
-
-    states = index.table.states
-    accepting = index.table.accepting
-    cnt = index.cnt
-    w = index.w
-    active = index.active
-    hot = index.hot
-    kcands = tuple(key[4] for key in index.keys)
-    kmult = tuple(key[3] for key in index.keys)
-    changing = index.changing
-    fix_state = index.fix_state
-    rnd = rng.random
-    randrange = rng.randrange
-
-    snapshot_every = obs.snapshot_interval if obs is not None else None
-    interactions = 0
-    productive = 0
-    stable_since = 0
-    accept = sum(cnt[s] for s in range(len(states)) if accepting[s])
-    m = population
-    out = stable_output
-    conv_at = stable_since + convergence_window if out is not None else _NEVER
-    view = IndexView(index)
-    ticks = 0
-
-    while interactions < max_interactions:
-        if deadline_at is not None:
-            ticks += 1
-            if not ticks & 255 and monotonic() >= deadline_at:
-                return _result(
-                    index, interactions, productive, m, trace,
-                    None, False, obs, deadline_exceeded=True,
-                    joined=inj.joined, departed=inj.departed,
-                )
-
-        # ---- due faults ----------------------------------------------
-        if interactions >= inj.next_at:
-            view.accept_delta = 0
-            inj.fire(interactions, view, obs)
-            if view.accept_delta:
-                accept += view.accept_delta
-            if view.size_delta:
-                m += view.size_delta
-                view.size_delta = 0
-            # m == 0 leaves the output undefined (an empty configuration
-            # has no agents to agree on anything).
-            new_out = (
-                (True if accept == m else (False if accept == 0 else None))
-                if m
-                else None
-            )
-            if new_out != out:
-                out = new_out
-                stable_since = productive
-                conv_at = (
-                    stable_since + convergence_window
-                    if out is not None
-                    else _NEVER
-                )
-                trace.append((interactions, out))
-                if obs is not None:
-                    obs.on_output_flip(interactions, out, LAYER_PROTOCOL)
-
-        if index.total <= 0:
-            if inj.next_at <= max_interactions:
-                # Silent *for now*: a pending fault may revive the run.
-                # fire() leaves next_at strictly beyond the fired step, so
-                # the jump always advances.
-                nxt = int(inj.next_at)
-                if obs is not None:
-                    obs.on_batch(nxt, kind="null_skip", count=nxt - interactions)
-                interactions = nxt
-                continue
-            interactions += 1
-            if obs is not None:
-                obs.on_scheduler_select(
-                    interactions,
-                    scheduler="fast_enabled",
-                    null=True,
-                    candidates=0,
-                    weight=0,
-                )
-                obs.on_interaction(interactions, None, None, False)
-                obs.on_silence_check(interactions, True)
-            break
-
-        # ---- one step ------------------------------------------------
-        interactions += 1
-        total = index.total
-        if interactions <= inj.unfair_until:
-            best = -1
-            for i2 in active:
-                if changing[i2] and (best == -1 or i2 < best):
-                    best = i2
-            i = best if best != -1 else min(active)
-            hcands = hot[i]
-            j = 0
-            for j2, c in enumerate(hcands):
-                if c[0]:
-                    j = j2
-                    break
-            if obs is not None:
-                obs.on_scheduler_select(
-                    interactions,
-                    scheduler="unfair",
-                    null=False,
-                    candidates=1,
-                    weight=total,
-                )
-        elif interactions <= inj.adv_until and inj.take_adversarial():
-            i, j = adversarial_index_pick(index, accept, m, out)
-            hcands = hot[i]
-            if obs is not None:
-                obs.on_scheduler_select(
-                    interactions,
-                    scheduler="adversarial",
-                    null=False,
-                    candidates=1,
-                    weight=total,
-                )
-        else:
-            if total <= _FLOAT_SAFE_TOTAL:
-                x = int(rnd() * total)
-                if x >= total:
-                    x = total - 1
-            else:
-                x = randrange(total)
-            acc = 0
-            for i in active:
-                acc += w[i]
-                if acc > x:
-                    break
-            hcands = hot[i]
-            j = 0
-            if len(hcands) > 1:
-                j = int(rnd() * len(hcands))
-            if obs is not None:
-                ncand = 0
-                for k2 in active:
-                    ncand += kmult[k2]
-                obs.on_scheduler_select(
-                    interactions,
-                    scheduler="fast_enabled",
-                    null=False,
-                    candidates=ncand,
-                    weight=total,
-                )
-        ch, ad, deltas = hcands[j]
-
-        if inj.drop_left and inj.take_drop():
-            if obs is not None:
-                t = kcands[i][j][7]
-                obs.on_fault(
-                    interactions, "drop", LAYER_PROTOCOL, transition=repr(t)
-                )
-                obs.on_interaction(interactions, None, (t.q, t.r), False)
-            continue
-
-        if ch:
-            productive += 1
-            for s, d in deltas:
-                cnt[s] += d
-            for s, _d in deltas:
-                fix_state(s)
-
-        if obs is not None:
-            t = kcands[i][j][7]
-            obs.on_interaction(interactions, t, (t.q, t.r), bool(ch))
-            if snapshot_every and interactions % snapshot_every == 0:
-                obs.on_snapshot(
-                    interactions, _snapshot_dict(states, cnt), LAYER_PROTOCOL
-                )
-
-        if ad:
-            accept += ad
-            new_out = True if accept == m else (False if accept == 0 else None)
-            if new_out != out:
-                out = new_out
-                stable_since = productive
-                conv_at = (
-                    stable_since + convergence_window
-                    if out is not None
-                    else _NEVER
-                )
-                trace.append((interactions, out))
-                if obs is not None:
-                    obs.on_output_flip(interactions, out, LAYER_PROTOCOL)
-
-        # Re-delivery: apply the same transition once more, when a
-        # duplicate token is armed and the key is still enabled.
-        if ch and inj.duplicate_left and w[i] > 0 and inj.take_duplicate():
-            productive += 1
-            for s, d in deltas:
-                cnt[s] += d
-            for s, _d in deltas:
-                fix_state(s)
-            if obs is not None:
-                t = kcands[i][j][7]
-                obs.on_fault(
-                    interactions, "duplicate", LAYER_PROTOCOL, transition=repr(t)
-                )
-            if ad:
-                accept += ad
-                new_out = (
-                    True if accept == m else (False if accept == 0 else None)
-                )
-                if new_out != out:
-                    out = new_out
-                    stable_since = productive
-                    conv_at = (
-                        stable_since + convergence_window
-                        if out is not None
-                        else _NEVER
-                    )
-                    trace.append((interactions, out))
-                    if obs is not None:
-                        obs.on_output_flip(interactions, out, LAYER_PROTOCOL)
-
-        if productive >= conv_at:
-            return _result(
-                index, interactions, productive, m, trace, out,
-                False, obs, joined=inj.joined, departed=inj.departed,
-            )
-
-    silent = index.is_silent_now()
-    return _result(
-        index, interactions, productive, m, trace,
-        out if silent else None, silent, obs,
-        joined=inj.joined, departed=inj.departed,
-    )
-
-
-def _uniform_fault_loop(
-    index: EnabledIndex,
-    *,
-    population,
-    rng,
-    inj,
-    tie_first,
-    max_interactions,
-    convergence_window,
-    check_silence_every,
-    obs,
-    trace,
-    stable_output,
-    deadline_at=None,
-):
-    """Uniform-mode driver with fault injection — the textbook-semantics
-    twin of :func:`_enabled_fault_loop` (see its docstring for the shared
-    fault semantics).
-
-    The geometric null-step skip-ahead is kept but *capped at the next
-    fault trigger*: a pending fault is a barrier the run may not jump
-    over, so a long null run is split at the barrier and the fault fires
-    on schedule.  Inside an unfair window null steps do not occur at all
-    — the adversary always schedules an interacting pair.
-    """
-    from repro.resilience.churn import adversarial_index_pick
-    from repro.resilience.faults import IndexView
-
-    states = index.table.states
-    accepting = index.table.accepting
-    cnt = index.cnt
-    w = index.w
-    active = index.active
-    hot = index.hot
-    kcands = tuple(key[4] for key in index.keys)
-    changing = index.changing
-    fix_state = index.fix_state
-    rnd = rng.random
-    randrange = rng.randrange
-
-    snapshot_every = obs.snapshot_interval if obs is not None else None
-    interactions = 0
-    productive = 0
-    stable_since = 0
-    accept = sum(cnt[s] for s in range(len(states)) if accepting[s])
-    m = population
-    out = stable_output
-    conv_at = stable_since + convergence_window if out is not None else _NEVER
-    T = m * (m - 1)
-    cse = check_silence_every
-    view = IndexView(index)
-    ticks = 0
-
-    while interactions < max_interactions:
-        if deadline_at is not None:
-            ticks += 1
-            if not ticks & 255 and monotonic() >= deadline_at:
-                return _result(
-                    index, interactions, productive, m, trace,
-                    None, False, obs, deadline_exceeded=True,
-                    joined=inj.joined, departed=inj.departed,
-                )
-
-        # ---- due faults ----------------------------------------------
-        if interactions >= inj.next_at:
-            view.accept_delta = 0
-            inj.fire(interactions, view, obs)
-            if view.accept_delta:
-                accept += view.accept_delta
-            if view.size_delta:
-                m += view.size_delta
-                view.size_delta = 0
-                T = m * (m - 1)  # the uniform law is over the *live* m
-            new_out = (
-                (True if accept == m else (False if accept == 0 else None))
-                if m
-                else None
-            )
-            if new_out != out:
-                out = new_out
-                stable_since = productive
-                conv_at = (
-                    stable_since + convergence_window
-                    if out is not None
-                    else _NEVER
-                )
-                trace.append((interactions, out))
-                if obs is not None:
-                    obs.on_output_flip(interactions, out, LAYER_PROTOCOL)
-
-        total = index.total
-        remaining = max_interactions - interactions
-
-        if total <= 0:
-            # No matched pair at all — null steps forever unless a
-            # pending fault revives the run.
-            if inj.next_at <= max_interactions:
-                nxt = int(inj.next_at)
-                if obs is not None:
-                    obs.on_batch(nxt, kind="null_skip", count=nxt - interactions)
-                interactions = nxt
-                continue
-            next_check = interactions - interactions % cse + cse
-            if next_check <= max_interactions:
-                count = next_check - interactions
-                interactions = next_check
-                if obs is not None:
-                    obs.on_batch(interactions, kind="null_skip", count=count)
-                    obs.on_silence_check(interactions, True)
-            else:
-                if obs is not None and remaining:
-                    obs.on_batch(
-                        max_interactions, kind="null_skip", count=remaining
-                    )
-                interactions = max_interactions
-            break
-
-        # Inside an unfair or adversarial window the adversary always
-        # schedules an interacting pair, so no geometric null run occurs
-        # (the fairness-budget steps of an adversarial window are fairly
-        # sampled *matched* steps — fairness of choice, not of pacing).
-        unfair_next = (
-            interactions + 1 <= inj.unfair_until
-            or interactions + 1 <= inj.adv_until
-        )
-        if not unfair_next and total < T:
-            # ---- geometric null-step skip-ahead, barrier-capped ------
-            u = 1.0 - rnd()
-            nulls = int(log(u) / log((T - total) / T))
-            if nulls:
-                span = remaining if nulls > remaining else nulls
-                barrier_gap = inj.next_at - interactions  # inf-safe
-                if barrier_gap < span:
-                    span = int(barrier_gap)
-                    interactions += span
-                    if obs is not None:
-                        obs.on_batch(interactions, kind="null_skip", count=span)
-                    continue
-                next_check = interactions - interactions % cse + cse
-                if obs is not None and next_check <= interactions + span:
-                    check = next_check
-                    limit = interactions + span
-                    while check <= limit:
-                        obs.on_silence_check(check, False)
-                        check += cse
-                if nulls >= remaining:
-                    interactions = max_interactions
-                    if obs is not None:
-                        obs.on_batch(
-                            interactions, kind="null_skip", count=remaining
-                        )
-                    break
-                interactions += nulls
-                if obs is not None:
-                    obs.on_batch(interactions, kind="null_skip", count=nulls)
-
-        # ---- one matched step ----------------------------------------
-        interactions += 1
-        if interactions <= inj.unfair_until:
-            best = -1
-            for i2 in active:
-                if changing[i2] and (best == -1 or i2 < best):
-                    best = i2
-            i = best if best != -1 else min(active)
-            hcands = hot[i]
-            j = 0
-            for j2, c in enumerate(hcands):
-                if c[0]:
-                    j = j2
-                    break
-            if obs is not None:
-                obs.on_scheduler_select(
-                    interactions,
-                    scheduler="unfair",
-                    null=False,
-                    candidates=1,
-                    weight=total,
-                )
-        elif interactions <= inj.adv_until and inj.take_adversarial():
-            i, j = adversarial_index_pick(index, accept, m, out)
-            hcands = hot[i]
-            if obs is not None:
-                obs.on_scheduler_select(
-                    interactions,
-                    scheduler="adversarial",
-                    null=False,
-                    candidates=1,
-                    weight=total,
-                )
-        else:
-            if total <= _FLOAT_SAFE_TOTAL:
-                x = int(rnd() * total)
-                if x >= total:
-                    x = total - 1
-            else:
-                x = randrange(total)
-            acc = 0
-            for i in active:
-                acc += w[i]
-                if acc > x:
-                    break
-            hcands = hot[i]
-            j = 0
-            if len(hcands) > 1 and not tie_first:
-                j = int(rnd() * len(hcands))
-            if obs is not None:
-                obs.on_scheduler_select(
-                    interactions,
-                    scheduler="fast_uniform",
-                    null=False,
-                    candidates=len(hcands),
-                    weight=total,
-                )
-        ch, ad, deltas = hcands[j]
-
-        if inj.drop_left and inj.take_drop():
-            if obs is not None:
-                t = kcands[i][j][7]
-                obs.on_fault(
-                    interactions, "drop", LAYER_PROTOCOL, transition=repr(t)
-                )
-                obs.on_interaction(interactions, None, (t.q, t.r), False)
-            continue
-
-        if ch:
-            productive += 1
-            for s, d in deltas:
-                cnt[s] += d
-            for s, _d in deltas:
-                fix_state(s)
-
-        if obs is not None:
-            t = kcands[i][j][7]
-            obs.on_interaction(interactions, t, (t.q, t.r), bool(ch))
-            if snapshot_every and interactions % snapshot_every == 0:
-                obs.on_snapshot(
-                    interactions, _snapshot_dict(states, cnt), LAYER_PROTOCOL
-                )
-
-        if ad:
-            accept += ad
-            new_out = True if accept == m else (False if accept == 0 else None)
-            if new_out != out:
-                out = new_out
-                stable_since = productive
-                conv_at = (
-                    stable_since + convergence_window
-                    if out is not None
-                    else _NEVER
-                )
-                trace.append((interactions, out))
-                if obs is not None:
-                    obs.on_output_flip(interactions, out, LAYER_PROTOCOL)
-
-        if ch and inj.duplicate_left and w[i] > 0 and inj.take_duplicate():
-            productive += 1
-            for s, d in deltas:
-                cnt[s] += d
-            for s, _d in deltas:
-                fix_state(s)
-            if obs is not None:
-                t = kcands[i][j][7]
-                obs.on_fault(
-                    interactions, "duplicate", LAYER_PROTOCOL, transition=repr(t)
-                )
-            if ad:
-                accept += ad
-                new_out = (
-                    True if accept == m else (False if accept == 0 else None)
-                )
-                if new_out != out:
-                    out = new_out
-                    stable_since = productive
-                    conv_at = (
-                        stable_since + convergence_window
-                        if out is not None
-                        else _NEVER
-                    )
-                    trace.append((interactions, out))
-                    if obs is not None:
-                        obs.on_output_flip(interactions, out, LAYER_PROTOCOL)
-
-        if productive >= conv_at:
-            return _result(
-                index, interactions, productive, m, trace, out,
-                False, obs, joined=inj.joined, departed=inj.departed,
-            )
-
-    silent = index.is_silent_now()
-    return _result(
-        index, interactions, productive, m, trace,
-        out if silent else None, silent, obs,
-        joined=inj.joined, departed=inj.departed,
-    )
+    run.interactions = interactions
+    run.productive = productive
+    run.stable_since = stable_since
+    run.accept = accept
+    run.out = out
+    run.conv_at = conv_at
+    run.ticks = ticks
+    return status
 
 
 def _uniform_loop(
     index: EnabledIndex,
+    run: _Run,
     *,
-    population,
     rng,
     tie_first,
-    max_interactions,
-    convergence_window,
+    stop,
     check_silence_every,
     obs,
-    trace,
-    stable_output,
-    deadline_at=None,
+    deadline_at,
 ):
+    """Uniform-mode steps from ``run`` until ``run.interactions`` reaches
+    ``stop`` or the run ends; returns the exit status."""
     states = index.table.states
-    accepting = index.table.accepting
     cnt = index.cnt
     w = index.w
     srecs = index.srecs
     active = index.active
     activepos = index.activepos
     hot = index.hot
-    kcands = tuple(key[4] for key in index.keys)
-    hot1 = tuple(h[0] if len(h) == 1 else None for h in index.hot)
+    hot1 = index.hot1
+    keys = index.keys
     changing = index.changing
-    fix_state = index.fix_state
     rnd = rng.random
     randrange = rng.randrange
 
     snapshot_every = obs.snapshot_interval if obs is not None else None
-    interactions = 0
-    productive = 0
-    stable_since = 0
-    accept = sum(cnt[s] for s in range(len(states)) if accepting[s])
-    m = population
-    out = stable_output
-    conv_at = stable_since + convergence_window if out is not None else _NEVER
+    convergence_window = run.window
+    interactions = run.interactions
+    productive = run.productive
+    stable_since = run.stable_since
+    accept = run.accept
+    m = run.m
+    out = run.out
+    conv_at = run.conv_at
+    trace = run.trace
+    ticks = run.ticks
     total = index.total
-    T = m * (m - 1)
+    # Below two agents no pair exists (total is 0): T = 1 turns the rest
+    # of the run into one null run, ended by the next silence check.
+    T = m * (m - 1) or 1
     cse = check_silence_every
-    ticks = 0
+    status = _STOP
 
-    while interactions < max_interactions:
+    while interactions < stop:
         if deadline_at is not None:
             ticks += 1
             if not ticks & 255 and monotonic() >= deadline_at:
-                index.total = total
-                return _result(
-                    index, interactions, productive, population, trace,
-                    None, False, obs, deadline_exceeded=True,
-                )
+                status = _DEADLINE
+                break
         if total < T:
             # ---- geometric null-step skip-ahead ----------------------
             # P(null) = 1 − M/T; the null-run length before the next
             # matched pair is Geometric(M/T), sampled exactly by
             # inversion with u ∈ (0, 1] (so nulls = 0 has probability
             # M/T, matching the step-by-step Bernoulli process).
-            remaining = max_interactions - interactions
+            remaining = stop - interactions
             if total > 0:
                 u = 1.0 - rnd()
                 nulls = int(log(u) / log((T - total) / T))
@@ -1625,6 +1234,7 @@ def _uniform_loop(
                                 interactions, kind="null_skip", count=count
                             )
                             obs.on_silence_check(interactions, True)
+                        status = _SILENT
                         break
                     if obs is not None:
                         check = next_check
@@ -1633,7 +1243,7 @@ def _uniform_loop(
                             obs.on_silence_check(check, False)
                             check += cse
                 if nulls >= remaining:
-                    interactions = max_interactions
+                    interactions = stop
                     if obs is not None:
                         obs.on_batch(
                             interactions, kind="null_skip", count=remaining
@@ -1702,7 +1312,7 @@ def _uniform_loop(
                                 activepos[last] = pos
 
         if obs is not None:
-            t = kcands[i][j][7]
+            t = keys[i][4][j][7]
             obs.on_interaction(interactions, t, (t.q, t.r), bool(ch))
             if snapshot_every and interactions % snapshot_every == 0:
                 obs.on_snapshot(
@@ -1724,15 +1334,15 @@ def _uniform_loop(
                 if obs is not None:
                     obs.on_output_flip(interactions, out, LAYER_PROTOCOL)
         if productive >= conv_at:
-            index.total = total
-            return _result(
-                index, interactions, productive, population, trace, out,
-                False, obs,
-            )
+            status = _CONVERGED
+            break
 
     index.total = total
-    silent = not any(changing[j2] for j2 in active)
-    return _result(
-        index, interactions, productive, population, trace,
-        out if silent else None, silent, obs,
-    )
+    run.interactions = interactions
+    run.productive = productive
+    run.stable_since = stable_since
+    run.accept = accept
+    run.out = out
+    run.conv_at = conv_at
+    run.ticks = ticks
+    return status

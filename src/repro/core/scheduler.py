@@ -49,31 +49,6 @@ def ordered_pair_weight(config: Multiset, q: object, r: object) -> int:
     return config[q] * config[r]
 
 
-def first_enabled_transition(
-    protocol: PopulationProtocol, config: Multiset
-) -> Optional[Transition]:
-    """The deterministically lowest-ranked enabled *productive* transition
-    (``None`` when the configuration is silent).
-
-    Ranking follows the same scan order both legacy schedulers use —
-    repr-sorted support, initiator-major — so the choice is reproducible
-    across processes.  This is the adversarial pick played inside a
-    :class:`repro.resilience.UnfairWindow`: always favouring one fixed
-    transition is the textbook unfair scheduler, while still never
-    scheduling a disabled interaction.
-    """
-    if config.size < 2:
-        return None
-    support = sorted(config.support(), key=repr)
-    for q in support:
-        for r in support:
-            if ordered_pair_weight(config, q, r) <= 0:
-                continue
-            for t in protocol.productive_transitions_from(q, r):
-                return t
-    return None
-
-
 class UniformPairScheduler:
     """Pick two distinct agents uniformly at random (the paper's model)."""
 

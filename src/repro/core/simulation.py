@@ -31,13 +31,7 @@ from repro.core.fastpath import (
 )
 from repro.core.multiset import Multiset
 from repro.core.protocol import PopulationProtocol
-from repro.core.scheduler import (
-    EnabledTransitionScheduler,
-    UniformPairScheduler,
-    first_enabled_transition,
-    ordered_pair_weight,
-    SchedulerStep,
-)
+from repro.core.scheduler import EnabledTransitionScheduler, UniformPairScheduler
 from repro.core.semantics import apply_transition_inplace, is_silent
 from repro.observability.events import LAYER_PROTOCOL
 from repro.observability.observer import Observer, live
@@ -191,78 +185,31 @@ def engine_label(
     return "legacy"
 
 
-def simulate(
-    protocol: PopulationProtocol,
-    config: Multiset,
-    *,
-    seed: int | None = None,
-    rng: random.Random | None = None,
-    scheduler=None,
-    engine: str | None = None,
-    max_interactions: int = 1_000_000,
-    convergence_window: int = 2_000,
-    check_silence_every: int = 512,
-    observer: Observer | None = None,
-    faults=None,
-    deadline: float | None = None,
-) -> SimulationResult:
-    """Sample one run of ``protocol`` from ``config``.
+def _execution_scheduler(scheduler, injector, population: int):
+    """The scheduler a run actually executes on — the one routing rule
+    behind both the dispatch in :func:`_simulate` and the ``engine``
+    attribute of the ``simulate`` span.
 
-    When a span tracer is active (:func:`repro.observability.spans.activate`)
-    the whole run is wrapped in a ``simulate`` span (annotated with the
-    engine family); without one the only cost is a single contextvar
-    read.  See :func:`_simulate` for the full contract — this wrapper
-    forwards every argument verbatim.
+    Faults are injected by the fast path alone, so a faulted run on a
+    legacy scheduler executes on its fast twin.  A batched run executes
+    natively only when its plan just resizes the population (joins and
+    leaves fire at batch barriers) and it has a pair to sample;
+    otherwise it needs per-step granularity and runs on the fast
+    uniform loop, which has the same uniform-pair semantics.
     """
-    tracer = _spans.current()
-    if tracer is None:
-        return _simulate(
-            protocol,
-            config,
-            seed=seed,
-            rng=rng,
-            scheduler=scheduler,
-            engine=engine,
-            max_interactions=max_interactions,
-            convergence_window=convergence_window,
-            check_silence_every=check_silence_every,
-            observer=observer,
-            faults=faults,
-            deadline=deadline,
-        )
-    with tracer.span(
-        "simulate",
-        protocol=protocol.name,
-        population=config.size,
-        seed=seed,
-        engine=engine_label(scheduler, engine, config.size),
-    ) as sp:
-        result = _simulate(
-            protocol,
-            config,
-            seed=seed,
-            rng=rng,
-            scheduler=scheduler,
-            engine=engine,
-            max_interactions=max_interactions,
-            convergence_window=convergence_window,
-            check_silence_every=check_silence_every,
-            observer=observer,
-            faults=faults,
-            deadline=deadline,
-        )
-        sp.attrs["verdict"] = result.verdict
-        sp.attrs["interactions"] = result.interactions
-        # Final size: under churn it differs from the start-of-run
-        # ``population`` attribute recorded above.
-        sp.attrs["population.size"] = result.population
-        if result.joined or result.departed:
-            sp.attrs["churn.joined"] = result.joined
-            sp.attrs["churn.departed"] = result.departed
-        return result
+    if injector is None or isinstance(
+        scheduler, (FastEnabledScheduler, FastUniformScheduler)
+    ):
+        return scheduler
+    if isinstance(scheduler, BatchedScheduler):
+        if population >= 2 and injector.population_only():
+            return scheduler
+    if isinstance(scheduler, UniformPairScheduler):
+        return FastUniformScheduler(tie_break=scheduler.tie_break)
+    return FastEnabledScheduler()
 
 
-def _simulate(
+def simulate(
     protocol: PopulationProtocol,
     config: Multiset,
     *,
@@ -293,10 +240,12 @@ def _simulate(
     :class:`~repro.resilience.FaultInjector`) injects deterministic mid-run
     perturbations; a plan is bound to ``seed`` (its fault stream is
     derived independently of the simulation stream, so an *empty* plan
-    leaves the run bit-identical to an uninjected one).  ``deadline``
-    bounds the run in wall-clock seconds (``REPRO_DEADLINE`` supplies a
-    default); past it the result carries ``verdict=None`` and
-    ``deadline_exceeded=True``.
+    leaves the run bit-identical to an uninjected one).  A faulted run
+    executes on the fast path: a legacy scheduler is swapped for its
+    fast twin, and a batched run whose plan does more than resize the
+    population for the fast uniform loop.  ``deadline`` bounds the run
+    in wall-clock seconds (``REPRO_DEADLINE`` supplies a default); past
+    it the result carries ``verdict=None`` and ``deadline_exceeded=True``.
 
     ``engine`` selects the execution family when no explicit scheduler is
     given: ``"legacy"`` (per-step reference schedulers, bit-exact
@@ -308,12 +257,14 @@ def _simulate(
     ``None`` defers to ``REPRO_ENGINE``, then behaves like ``"auto"``;
     an explicit ``scheduler`` always wins.
     Pass ``scheduler=EnabledTransitionScheduler()`` (or
-    ``UniformPairScheduler()``) to reproduce runs recorded with the
-    legacy per-step schedulers bit-exactly under the same seed.
+    ``UniformPairScheduler()``) to reproduce uninjected runs recorded
+    with the legacy per-step schedulers bit-exactly under the same seed.
+
+    When a span tracer is active (:func:`repro.observability.spans.activate`)
+    the whole run is wrapped in a ``simulate`` span (annotated with the
+    engine family that executes it); without one the only cost is a
+    single contextvar read.
     """
-    protocol.check_configuration(config)
-    if rng is None:
-        rng = random.Random(seed)
     if scheduler is None:
         scheduler = scheduler_for_engine(resolve_engine(engine), config.size)
     injector = None
@@ -321,11 +272,72 @@ def _simulate(
         from repro.resilience.faults import resolve_injector
 
         injector = resolve_injector(faults, seed)
-        if injector is not None and injector.inert():
-            # Empty plan — or one that expanded to nothing (e.g. a
-            # zero-rate ChurnProcess): behaviourally no injector at all,
-            # so take the uninjected hot path and stay bit-identical.
-            injector = None
+    scheduler = _execution_scheduler(scheduler, injector, config.size)
+    tracer = _spans.current()
+    if tracer is None:
+        return _simulate(
+            protocol,
+            config,
+            seed=seed,
+            rng=rng,
+            scheduler=scheduler,
+            injector=injector,
+            max_interactions=max_interactions,
+            convergence_window=convergence_window,
+            check_silence_every=check_silence_every,
+            observer=observer,
+            deadline=deadline,
+        )
+    with tracer.span(
+        "simulate",
+        protocol=protocol.name,
+        population=config.size,
+        seed=seed,
+        engine=engine_label(scheduler),
+    ) as sp:
+        result = _simulate(
+            protocol,
+            config,
+            seed=seed,
+            rng=rng,
+            scheduler=scheduler,
+            injector=injector,
+            max_interactions=max_interactions,
+            convergence_window=convergence_window,
+            check_silence_every=check_silence_every,
+            observer=observer,
+            deadline=deadline,
+        )
+        sp.attrs["verdict"] = result.verdict
+        sp.attrs["interactions"] = result.interactions
+        # Final size: under churn it differs from the start-of-run
+        # ``population`` attribute recorded above.
+        sp.attrs["population.size"] = result.population
+        if result.joined or result.departed:
+            sp.attrs["churn.joined"] = result.joined
+            sp.attrs["churn.departed"] = result.departed
+        return result
+
+
+def _simulate(
+    protocol: PopulationProtocol,
+    config: Multiset,
+    *,
+    seed: int | None,
+    rng: random.Random | None,
+    scheduler,
+    injector,
+    max_interactions: int,
+    convergence_window: int,
+    check_silence_every: int,
+    observer: Observer | None,
+    deadline: float | None,
+) -> SimulationResult:
+    """The body of :func:`simulate`, on the scheduler the run executes on
+    (see :func:`_execution_scheduler`) and the resolved injector."""
+    protocol.check_configuration(config)
+    if rng is None:
+        rng = random.Random(seed)
     deadline = resolve_deadline(deadline)
     deadline_at = time.monotonic() + deadline if deadline is not None else None
     obs = live(observer)
@@ -347,33 +359,24 @@ def _simulate(
         )
 
     if isinstance(scheduler, BatchedScheduler) and population >= 2:
-        if injector is None or injector.population_only():
-            return run_batched_simulation(
-                protocol,
-                current,
-                population=population,
-                rng=rng,
-                scheduler=scheduler,
-                max_interactions=max_interactions,
-                convergence_window=convergence_window,
-                check_silence_every=check_silence_every,
-                obs=obs,
-                trace=trace,
-                stable_output=stable_output,
-                injector=injector,
-                deadline_at=deadline_at,
-            )
-        # Per-interaction faults (drops, duplicates, unfair/adversarial
-        # windows, corruption of specific steps) need a granularity a
-        # batched run never materialises — degrade to the per-step fast
-        # uniform loop (identical uniform-pair semantics, full fault
-        # support).  Population-only plans (joins/leaves) fire at batch
-        # barriers and run batched natively above.
-        scheduler = FastUniformScheduler(tie_break=scheduler.tie_break)
+        return run_batched_simulation(
+            protocol,
+            current,
+            population=population,
+            rng=rng,
+            scheduler=scheduler,
+            max_interactions=max_interactions,
+            convergence_window=convergence_window,
+            check_silence_every=check_silence_every,
+            obs=obs,
+            trace=trace,
+            stable_output=stable_output,
+            injector=injector,
+            deadline_at=deadline_at,
+        )
 
-    if (
-        isinstance(scheduler, (FastEnabledScheduler, FastUniformScheduler))
-        and population >= 2
+    if isinstance(scheduler, (FastEnabledScheduler, FastUniformScheduler)) and (
+        population >= 2 or injector is not None
     ):
         return run_fast_simulation(
             protocol,
@@ -391,11 +394,10 @@ def _simulate(
             deadline_at=deadline_at,
         )
 
+    # The per-step legacy loop: uninjected runs only.
     def finish(
         verdict: Optional[bool], silent: bool, deadline_exceeded: bool = False
     ) -> SimulationResult:
-        joined = injector.joined if injector is not None else 0
-        departed = injector.departed if injector is not None else 0
         if obs is not None:
             obs.on_run_end(
                 interactions,
@@ -404,10 +406,10 @@ def _simulate(
                 silent=silent,
                 interactions=interactions,
                 productive=productive,
-                population=population,
+                population=current.size,
                 deadline_exceeded=deadline_exceeded,
-                joined=joined,
-                departed=departed,
+                joined=0,
+                departed=0,
             )
         return SimulationResult(
             final=current,
@@ -415,74 +417,18 @@ def _simulate(
             silent=silent,
             interactions=interactions,
             productive=productive,
-            population=population,
+            population=current.size,
             output_trace=trace,
             deadline_exceeded=deadline_exceeded,
-            joined=joined,
-            departed=departed,
         )
 
-    fault_view = None
     ticks = 0
     while interactions < max_interactions:
         if deadline_at is not None:
             ticks += 1
             if not ticks & 255 and time.monotonic() >= deadline_at:
                 return finish(None, False, deadline_exceeded=True)
-        if injector is not None and interactions >= injector.next_at:
-            if fault_view is None:
-                from repro.resilience.faults import MultisetView
-
-                fault_view = MultisetView(protocol, current)
-            injector.fire(interactions, fault_view, obs)
-            # Churn may have resized the run; the legacy loop reads the
-            # configuration live everywhere else, so refreshing here
-            # lifts its only fixed-n capture.  An emptied population has
-            # no output (the vacuous ``output(∅) = True`` is an
-            # initial-configuration convention, not a verdict).
-            population = current.size
-            output = protocol.output(current) if population else None
-            if output != stable_output:
-                stable_output = output
-                stable_since = productive
-                trace.append((interactions, output))
-                if obs is not None:
-                    obs.on_output_flip(interactions, output, LAYER_PROTOCOL)
-        unfair = injector is not None and injector.unfair_active(interactions + 1)
-        adversarial = (
-            not unfair
-            and injector is not None
-            and injector.adversarial_active(interactions + 1)
-            and injector.take_adversarial()
-        )
-        if unfair:
-            # Adversarial window: play the deterministic lowest-ranked
-            # enabled transition, consuming no randomness.
-            t = first_enabled_transition(protocol, current)
-            step = SchedulerStep(t, (t.q, t.r) if t is not None else None)
-            if obs is not None:
-                obs.on_scheduler_select(
-                    interactions + 1,
-                    scheduler="unfair",
-                    null=t is None,
-                    candidates=0 if t is None else 1,
-                )
-        elif adversarial:
-            # Worst-case-pick window: the enabled transition that drags
-            # the accepting count away from the current consensus (see
-            # repro.resilience.churn); deterministic, rng-free.
-            from repro.resilience.churn import adversarial_enabled_transition
-
-            t = adversarial_enabled_transition(protocol, current, stable_output)
-            step = SchedulerStep(t, (t.q, t.r) if t is not None else None)
-            if obs is not None:
-                obs.on_scheduler_select(
-                    interactions + 1,
-                    scheduler="adversarial",
-                    null=t is None,
-                    candidates=0 if t is None else 1,
-                )
-        elif obs is None:
+        if obs is None:
             step = scheduler.select(protocol, current, rng)
         else:
             step = scheduler.select(
@@ -492,25 +438,7 @@ def _simulate(
         if step.transition is None:
             if obs is not None:
                 obs.on_interaction(interactions, None, step.pair, False)
-            # An unfair/adversarial window's None pick means no productive
-            # transition is enabled at all, exactly like the enabled
-            # scheduler's.
-            if (
-                unfair
-                or adversarial
-                or isinstance(scheduler, EnabledTransitionScheduler)
-            ):
-                if injector is not None and injector.next_at <= max_interactions:
-                    # Silent for now, but a pending fault may revive the
-                    # run: fast-forward the null steps to the trigger.
-                    nxt = int(injector.next_at)
-                    if nxt > interactions:
-                        if obs is not None:
-                            obs.on_batch(
-                                nxt, kind="null_skip", count=nxt - interactions
-                            )
-                        interactions = nxt
-                    continue
+            if isinstance(scheduler, EnabledTransitionScheduler):
                 # No productive transition exists at all: provably silent.
                 if obs is not None:
                     obs.on_silence_check(interactions, True)
@@ -520,32 +448,7 @@ def _simulate(
                 if obs is not None:
                     obs.on_silence_check(interactions, silent_now)
                 if silent_now:
-                    if (
-                        injector is not None
-                        and injector.next_at <= max_interactions
-                    ):
-                        nxt = int(injector.next_at)
-                        if nxt > interactions:
-                            if obs is not None:
-                                obs.on_batch(
-                                    nxt,
-                                    kind="null_skip",
-                                    count=nxt - interactions,
-                                )
-                            interactions = nxt
-                        continue
                     break
-            continue
-        if injector is not None and injector.drop_left and injector.take_drop():
-            # Message loss: the step counts, the configuration is frozen.
-            if obs is not None:
-                obs.on_fault(
-                    interactions,
-                    "drop",
-                    LAYER_PROTOCOL,
-                    transition=repr(step.transition),
-                )
-                obs.on_interaction(interactions, None, step.pair, False)
             continue
         before = (
             current[step.transition.q],
@@ -563,27 +466,6 @@ def _simulate(
         changed = before != after
         if changed:
             productive += 1
-        if (
-            injector is not None
-            and changed
-            and injector.duplicate_left
-            and ordered_pair_weight(
-                current, step.transition.q, step.transition.r
-            )
-            > 0
-            and injector.take_duplicate()
-        ):
-            # Re-delivery: the interaction is applied a second time (it is
-            # still enabled), counting as productive work, not as a step.
-            apply_transition_inplace(current, step.transition)
-            productive += 1
-            if obs is not None:
-                obs.on_fault(
-                    interactions,
-                    "duplicate",
-                    LAYER_PROTOCOL,
-                    transition=repr(step.transition),
-                )
         if obs is not None:
             obs.on_interaction(interactions, step.transition, step.pair, changed)
             if snapshot_every and interactions % snapshot_every == 0:
@@ -602,8 +484,7 @@ def _simulate(
             return finish(stable_output, False)
 
     silent = is_silent(protocol, current)
-    # A churn-drained (empty) population is trivially silent but has no
-    # output to report.
+    # An empty population is trivially silent but has no output to report.
     verdict = protocol.output(current) if silent and current.size else None
     return finish(verdict, silent)
 

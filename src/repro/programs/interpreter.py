@@ -153,8 +153,6 @@ class ProgramInterpreter:
         from repro.resilience.faults import resolve_injector
 
         injector = resolve_injector(faults, seed)
-        if injector is not None and injector.exhausted() and not injector.plan:
-            injector = None
         deadline = resolve_deadline(deadline)
         registers = {name: 0 for name in self.program.registers}
         for name, value in initial_registers.items():

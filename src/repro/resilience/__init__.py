@@ -25,7 +25,6 @@ from repro.resilience.churn import (
     ChurnProcess,
     JoinAgents,
     LeaveAgents,
-    adversarial_enabled_transition,
     adversarial_index_pick,
     expand_churn,
 )
@@ -38,7 +37,6 @@ from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
     IndexView,
-    MultisetView,
     RegisterView,
     ResetAgents,
     UnfairWindow,
@@ -58,11 +56,9 @@ __all__ = [
     "IndexView",
     "JoinAgents",
     "LeaveAgents",
-    "MultisetView",
     "RegisterView",
     "ResetAgents",
     "UnfairWindow",
-    "adversarial_enabled_transition",
     "adversarial_index_pick",
     "expand_churn",
     "resolve_injector",

@@ -33,12 +33,13 @@ empty plan leaves a run bit-identical to an uninjected one.
 
 Per-engine resize strategy (see DESIGN.md §13 for the full story):
 
-* legacy schedulers read ``config.size`` per step and need no repair;
+* a faulted run on a legacy scheduler executes on its fast twin, so the
+  legacy loop never sees a resize;
 * the fast path mutates the :class:`~repro.core.fastpath.EnabledIndex`
   count array and re-establishes the weight invariant with
   ``fix_state`` (``EnabledIndex.grow``/``shrink``), then the driver
-  refreshes its cached ``m`` and ``T = m(m-1)`` from the view's
-  ``size_delta``;
+  refreshes ``m`` from the view's ``size_delta`` at the barrier, and the
+  uniform loop re-derives ``T = m(m-1)`` when it resumes;
 * the batched engine resizes only *between* batches: the next fault
   trigger is a batch barrier, and the sampler's cached
   ``lgamma``-inversion constants are re-derived via ``set_population``.
@@ -218,35 +219,3 @@ def adversarial_index_pick(
     if best is None:  # no changing candidate enabled: play any no-op
         return min(index.active), 0
     return best[1], best[2]
-
-
-def adversarial_enabled_transition(protocol, config, out: Optional[bool]):
-    """Legacy-loop twin of :func:`adversarial_index_pick`: the enabled
-    productive transition with the worst accepting-count delta (``None``
-    when the configuration is silent).  Repr-sorted scan, so the choice
-    matches across processes like
-    :func:`repro.core.scheduler.first_enabled_transition`."""
-    from repro.core.scheduler import ordered_pair_weight
-
-    accepting = protocol.accepting_states
-    accept = sum(c for s, c in config.items() if s in accepting)
-    m = config.size
-    if m < 2:
-        return None
-    support = sorted(config.support(), key=repr)
-    best = None
-    for q in support:
-        for r in support:
-            if ordered_pair_weight(config, q, r) <= 0:
-                continue
-            for t in protocol.productive_transitions_from(q, r):
-                ad = (
-                    int(t.q2 in accepting)
-                    + int(t.r2 in accepting)
-                    - int(t.q in accepting)
-                    - int(t.r in accepting)
-                )
-                key = _badness(accept, ad, m, out)
-                if best is None or key < best[0]:
-                    best = (key, t)
-    return None if best is None else best[1]

@@ -19,13 +19,22 @@ Two design commitments shape the API:
   bit-identically, and an *empty* plan leaves a seeded run bit-identical
   to an uninjected one.
 * **Layer independence.**  Faults mutate the simulated system through a
-  small *view* protocol (``states`` / ``count`` / ``move``) with three
-  implementations: :class:`MultisetView` for the legacy scheduler loop,
-  :class:`IndexView` for the fast path (which repairs the
-  :class:`~repro.core.fastpath.EnabledIndex` and accumulates the
-  accepting-count delta so the driver's O(Δ) output tracking stays
-  exact), and :class:`RegisterView` for program-level register
+  small *view* protocol (``states`` / ``count`` / ``move`` / ``add`` /
+  ``remove``) with three implementations: :class:`IndexView` for the
+  fast path (which repairs the :class:`~repro.core.fastpath.EnabledIndex`
+  and accumulates the accepting-count delta so the driver's O(Δ) output
+  tracking stays exact), :class:`DenseView` for the batched engine's
+  barriers, and :class:`RegisterView` for program-level register
   corruption.  The injector itself is layer-agnostic.
+
+Every fault kind is either a *barrier* event that changes counts at a
+known step (corrupt, reset, join, leave) or arms a bounded *per-step
+window* (drop and duplicate tokens, unfair and adversarial steps).  A
+protocol-level run executes on the fast path whatever scheduler it was
+given (:func:`repro.core.simulate` routes a faulted legacy or batched run
+to its fast twin, except that population-only plans stay batched):
+the uninjected loops run between barriers, and only the window steps
+take a slower per-step path.
 
 Fault taxonomy — the population-preserving kinds live here, the
 dynamic-population kinds in :mod:`repro.resilience.churn` (same plan and
@@ -211,50 +220,15 @@ class FaultPlan:
 # ----------------------------------------------------------------------
 # Views: how faults touch each layer's state representation
 # ----------------------------------------------------------------------
-class MultisetView:
-    """Corruption view over a legacy-loop :class:`Multiset` configuration.
-
-    ``move``/``add``/``remove`` go through ``inc``/``dec``, so any
-    attached watchers (an :class:`EnabledIndex` observing the multiset)
-    stay exact for free.  ``size_delta`` accumulates the net population
-    change of churn faults; the legacy loop reads ``config.size`` fresh
-    after a fire, so it only needs the accumulator for reporting.
-    """
-
-    __slots__ = ("states", "_config", "accept_delta", "size_delta")
-
-    def __init__(self, protocol, config):
-        # Sorted by repr: the injector's choices must not depend on the
-        # process hash salt (same rule as the schedulers).
-        self.states: Tuple[Any, ...] = tuple(sorted(protocol.states, key=repr))
-        self._config = config
-        self.accept_delta = 0  # unused: the legacy loop recomputes output
-        self.size_delta = 0
-
-    def count(self, state) -> int:
-        return self._config[state]
-
-    def move(self, src, dst, k: int = 1) -> None:
-        self._config.dec(src, k)
-        self._config.inc(dst, k)
-
-    def add(self, state, k: int = 1) -> None:
-        self._config.inc(state, k)
-        self.size_delta += k
-
-    def remove(self, state, k: int = 1) -> None:
-        self._config.dec(state, k)
-        self.size_delta -= k
-
-
 class IndexView:
     """Corruption view over a fast-path :class:`EnabledIndex`.
 
     Mutates the flat count array and repairs the index via
     ``fix_state`` after every move, so the weight/active/total invariant
     holds at all times.  ``accept_delta`` accumulates the net change in
-    the number of accepting agents; the fast loops fold it into their
-    O(Δ) output tracking instead of rescanning the configuration.
+    the number of accepting agents; the fast driver folds it into its
+    O(Δ) output tracking at the barrier instead of rescanning the
+    configuration.
     """
 
     __slots__ = ("index", "states", "accept_delta", "size_delta")
@@ -368,23 +342,25 @@ class DenseView:
 class FaultInjector:
     """Stateful executor of one bound :class:`FaultPlan`.
 
-    Driver contract (both scheduler loops, the fast path, and the
-    program interpreter follow it):
+    Driver contract (the fast path, the batched engine's barriers and
+    the program interpreter follow it):
 
-    * at the top of each step, if the layer's step counter has reached
-      :attr:`next_at`, call :meth:`fire` with a view of the current
-      state — this applies every due corruption/reset and arms the
-      drop/duplicate/unfair effects;
-    * after selecting an interaction, consume one drop token via
-      :meth:`take_drop` (a ``True`` return means: count the step, skip
-      the application);
-    * after *applying* a productive interaction that is still enabled,
-      consume one duplicate token via :meth:`take_duplicate`;
-    * when :meth:`unfair_active` holds for the upcoming step, bypass the
-      fair sampler and play the deterministic adversarial choice.
+    * once the layer's step counter has reached :attr:`next_at`, call
+      :meth:`fire` with a view of the current state before the next
+      step — this applies every due corruption/reset/join/leave and arms
+      the drop/duplicate/unfair/adversarial effects.  Until then no
+      fault can act, so a driver may run its uninjected loop up to
+      ``next_at``;
+    * while :meth:`window_open` holds for the upcoming step, take it one
+      step at a time: play the deterministic pick inside an unfair
+      window, the worst-case pick inside an adversarial one (unless
+      :meth:`take_adversarial` yields a fair step), consume one drop
+      token via :meth:`take_drop` after selecting an interaction (a
+      ``True`` return means: count the step, skip the application), and
+      one duplicate token via :meth:`take_duplicate` after *applying* a
+      productive interaction that is still enabled.
 
-    :attr:`next_at` is ``inf`` once the plan is exhausted, so the hot
-    loops pay a single integer compare per step.
+    :attr:`next_at` is ``inf`` once the plan is exhausted.
     """
 
     def __init__(self, plan: FaultPlan, seed: int):
@@ -426,10 +402,17 @@ class FaultInjector:
         )
 
     # -- scheduling ------------------------------------------------------
-    def unfair_active(self, step: int) -> bool:
-        """Whether step number ``step`` falls inside an armed unfair
-        window (windows cover the ``length`` steps after their trigger)."""
-        return step <= self.unfair_until
+    def window_open(self, step: int) -> bool:
+        """Whether step number ``step`` needs per-step fault handling: a
+        drop or duplicate token is armed, or the step falls inside an
+        unfair or adversarial window (windows cover the ``length`` steps
+        after their trigger).  Only :meth:`fire` opens a window."""
+        return bool(
+            self.drop_left
+            or self.duplicate_left
+            or step <= self.unfair_until
+            or step <= self.adv_until
+        )
 
     def take_drop(self) -> bool:
         if self.drop_left > 0:
@@ -629,9 +612,9 @@ class FaultInjector:
         influence the run in *any* way — nothing queued, no armed
         drop/duplicate tokens, and no unfair/adversarial window was ever
         opened.  An injector that is inert before its first step is
-        behaviourally identical to no injector at all; the drivers use
-        this to keep empty (and emptily-expanded) plans bit-identical to
-        uninjected runs."""
+        behaviourally identical to no injector at all, so
+        :func:`resolve_injector` drops it: empty (and emptily-expanded)
+        plans stay bit-identical to uninjected runs."""
         return (
             self._pos >= len(self._queue)
             and self.drop_left == 0
@@ -660,13 +643,17 @@ def resolve_injector(faults, seed: Optional[int]) -> Optional[FaultInjector]:
     """Normalise a driver's ``faults=`` argument: ``None`` passes
     through, a :class:`FaultPlan` is bound to ``seed`` (0 when the driver
     was given only an ``rng``), an already-bound injector is used as-is
-    (callers doing multi-segment runs can thread one injector through)."""
+    (callers doing multi-segment runs can thread one injector through).
+    An :meth:`~FaultInjector.inert` injector — an empty plan, or one that
+    expanded to nothing such as a zero-rate ``ChurnProcess`` — resolves to
+    ``None``: it is behaviourally no injector at all, and every driver
+    then takes its uninjected path."""
     if faults is None:
         return None
-    if isinstance(faults, FaultInjector):
-        return faults
     if isinstance(faults, FaultPlan):
-        return faults.bind(seed if seed is not None else 0)
-    raise TypeError(
-        f"faults must be a FaultPlan or FaultInjector, got {type(faults).__name__}"
-    )
+        faults = faults.bind(seed if seed is not None else 0)
+    elif not isinstance(faults, FaultInjector):
+        raise TypeError(
+            f"faults must be a FaultPlan or FaultInjector, got {type(faults).__name__}"
+        )
+    return None if faults.inert() else faults

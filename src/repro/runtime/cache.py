@@ -39,7 +39,8 @@ from repro.core.protocol import PopulationProtocol
 #: Bumped whenever the pickled artifact layout changes incompatibly
 #: (e.g. a TransitionTable slot is added): old disk entries then simply
 #: miss instead of deserialising garbage.  v2: checksummed disk format.
-SCHEMA_VERSION = 2
+#: v3: ``ModeTable.hot1``.
+SCHEMA_VERSION = 3
 
 #: Disk entry layout: magic, 16-byte blake2b of the payload, payload.
 #: The checksum catches torn writes and bit rot *before* ``pickle.load``

@@ -694,6 +694,13 @@ def decide_parallel(
                 else:
                     completed += 1
                     merge_worker_metrics(obs, payload["metrics"])
+    except NonConvergenceError:
+        # The deadline passed, possibly before the first wait: attempts
+        # may still be running, and a waiting shutdown would block on them.
+        if pool_alive:
+            _terminate_pool(executor)
+            pool_alive = False
+        raise
     finally:
         if pool_alive:
             executor.shutdown()

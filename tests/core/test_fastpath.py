@@ -180,6 +180,82 @@ class TestLegacyGoldenSeeds:
         ) == (verdict, silent, interactions, productive)
 
 
+# (scheduler, protocol, initial configuration, seed, verdict, silent,
+# interactions, productive, final) for uninjected fast runs
+# (max_interactions=20_000, convergence_window=300).  binary5 on 24 agents
+# with seed 0 under fast_enabled batch-collapses its last conversions;
+# binary5 on 4 agents under fast_enabled and binary5 on 24 agents under
+# the first-candidate tie-break end by the convergence window; the
+# majority runs end silent at a check point.  The fast engines run in
+# segments between fault barriers, so these pins guard the uninjected
+# random stream against any drift in the resumable loops.
+FAST_SCHEDULERS = {
+    "fast_enabled": FastEnabledScheduler,
+    "fast_uniform": FastUniformScheduler,
+    "fast_uniform_first": lambda: FastUniformScheduler(tie_break="first"),
+}
+FAST_PROTOCOLS = {
+    "binary5": lambda: binary_threshold_protocol(5),
+    "majority": majority_protocol,
+}
+BINARY_24, BINARY_4, MAJORITY_21 = {"p0": 24}, {"p0": 4}, {"X": 12, "Y": 9}
+ALL_TOP, MAJORITY_X = {"TOP": 24}, {"X": 3, "x": 18}
+FAST_PINS = [
+    ("fast_enabled", "binary5", BINARY_24, 0, True, True, 92, 91, ALL_TOP),
+    ("fast_enabled", "binary5", BINARY_24, 1, True, True, 88, 87, ALL_TOP),
+    (
+        "fast_enabled", "binary5", BINARY_4, 0, False, False, 300, 300,
+        {"c1": 1, "z": 3},
+    ),
+    ("fast_enabled", "majority", MAJORITY_21, 0, True, True, 29, 28, MAJORITY_X),
+    ("fast_uniform", "binary5", BINARY_24, 0, True, True, 20_000, 171, ALL_TOP),
+    ("fast_uniform", "binary5", BINARY_24, 1, True, True, 20_000, 89, ALL_TOP),
+    ("fast_uniform", "majority", MAJORITY_21, 0, True, True, 512, 42, MAJORITY_X),
+    ("fast_uniform", "majority", MAJORITY_21, 1, True, True, 512, 22, MAJORITY_X),
+    (
+        "fast_uniform_first", "binary5", BINARY_24, 0, False, False, 1021, 300,
+        {"c1": 1, "p0": 6, "p1": 5, "p2": 1, "z": 11},
+    ),
+    (
+        "fast_uniform_first", "binary5", BINARY_24, 1, False, False, 1007, 300,
+        {"p0": 8, "p1": 4, "p2": 2, "z": 10},
+    ),
+    (
+        "fast_uniform_first", "majority", MAJORITY_21, 0, True, True, 512, 42,
+        MAJORITY_X,
+    ),
+    (
+        "fast_uniform_first", "majority", MAJORITY_21, 1, True, True, 512, 22,
+        MAJORITY_X,
+    ),
+]
+
+
+class TestFastGoldenSeeds:
+    @pytest.mark.parametrize(
+        "pin",
+        FAST_PINS,
+        ids=lambda p: f"{p[0]}-{p[1]}-n{sum(p[2].values())}-seed{p[3]}",
+    )
+    def test_uninjected_fast_run_is_pinned(self, pin):
+        name, proto, config, seed, *expected = pin
+        result = simulate(
+            FAST_PROTOCOLS[proto](),
+            Multiset(config),
+            seed=seed,
+            scheduler=FAST_SCHEDULERS[name](),
+            max_interactions=20_000,
+            convergence_window=300,
+        )
+        assert (
+            result.verdict,
+            result.silent,
+            result.interactions,
+            result.productive,
+            dict(result.final.items()),
+        ) == tuple(expected)
+
+
 # ----------------------------------------------------------------------
 # Distributional equivalence (fast vs legacy, chi-square at alpha=0.001)
 # ----------------------------------------------------------------------

@@ -6,11 +6,14 @@ import json
 import pytest
 
 from repro.baselines import binary_threshold_protocol
+from repro.core.batched import BatchedScheduler
 from repro.core.multiset import Multiset
+from repro.core.scheduler import EnabledTransitionScheduler, UniformPairScheduler
 from repro.core.simulation import decide, simulate
 from repro.observability.metrics import Metrics
 from repro.observability import spans as spans_mod
 from repro.observability.spans import SpanTracer, activate, current, span
+from repro.resilience import CorruptAgents, DropInteractions, FaultPlan, JoinAgents
 
 
 class TestSpanTracer:
@@ -159,6 +162,45 @@ class TestEngineSpans:
         (sp,) = [s for s in tracer.spans if s.name == "simulate"]
         assert "verdict" in sp.attrs
         assert sp.attrs["interactions"] > 0
+
+    @pytest.mark.parametrize(
+        "scheduler,plan,engine",
+        [
+            # Per-step faults need a granularity batches never have.
+            (BatchedScheduler(), [DropInteractions(at=10, count=3)], "fast"),
+            # Joins and leaves fire at batch barriers.
+            (
+                BatchedScheduler(),
+                [JoinAgents(at=10, agents=2, state="p0")],
+                "batched",
+            ),
+            # Faulted legacy runs execute on the fast twin.
+            (EnabledTransitionScheduler(), [CorruptAgents(at=10)], "fast"),
+            (UniformPairScheduler(), [CorruptAgents(at=10)], "fast"),
+            # An empty plan is no injector at all.
+            (UniformPairScheduler(), [], "legacy"),
+        ],
+        ids=[
+            "batched-drop",
+            "batched-join",
+            "legacy-enabled",
+            "legacy-uniform",
+            "legacy-empty",
+        ],
+    )
+    def test_span_names_the_engine_that_ran(self, scheduler, plan, engine):
+        tracer = SpanTracer()
+        with activate(tracer):
+            simulate(
+                binary_threshold_protocol(3),
+                Multiset({"p0": 64}),
+                seed=1,
+                scheduler=scheduler,
+                faults=FaultPlan(plan),
+                max_interactions=5_000,
+            )
+        (sp,) = [s for s in tracer.spans if s.name == "simulate"]
+        assert sp.attrs["engine"] == engine
 
     def test_simulate_without_tracer_records_nothing(self):
         result = simulate(

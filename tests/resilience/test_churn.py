@@ -137,6 +137,24 @@ class TestDeterminism:
         )
         assert _fingerprint(plain) == _fingerprint(zero_rate)
 
+    def test_empty_churn_plan_is_identity_for_run_program(self):
+        # The program interpreter nulls an inert injector by the same
+        # rule as simulate.
+        from repro.programs import Move, procedure, program, run_program, while_true
+
+        prog = program(
+            ["x", "y"], [procedure("Main", Move("x", "y"), while_true())]
+        )
+        plain = run_program(prog, {"x": 6}, seed=3, max_steps=400)
+        zero_rate = run_program(
+            prog,
+            {"x": 6},
+            seed=3,
+            faults=FaultPlan([ChurnProcess(at=10, length=1_000)]),
+            max_steps=400,
+        )
+        assert plain == zero_rate
+
     def test_churn_actually_perturbs_the_run(self):
         plain = _run(FastEnabledScheduler, faults=None)
         churned = _run(FastEnabledScheduler, faults=CHURN_PLAN)

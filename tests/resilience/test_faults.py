@@ -26,6 +26,7 @@ from repro.resilience import (
     UnfairWindow,
     resolve_injector,
 )
+from tests.core.test_fastpath import CHI2_CRIT_001, two_sample_chi2
 
 FAMILIES = [
     ("fast_enabled", FastEnabledScheduler),
@@ -237,6 +238,93 @@ class TestFaultBehaviours:
         injector.fire(5, view)
         assert injector.exhausted()
         assert injector.next_at == float("inf")
+
+
+#: Twenty barriers that change nothing, spread over the first 87 steps —
+#: all before the last interaction of the uninjected binary(5) run on 24
+#: agents with seed 0 (92 interactions).
+NOOP_BARRIERS = FaultPlan(
+    [CorruptAgents(at=1 + i * 90 // 20, agents=0) for i in range(20)]
+)
+
+
+class TestSegmentedFastPath:
+    """The fast path runs its uninjected loops between fault barriers:
+    cutting a run at barriers that change nothing must not change it."""
+
+    def test_noop_barriers_leave_the_enabled_run_bit_identical(self):
+        # Enabled mode draws nothing at a barrier: a step sampled before
+        # one is sampled the same way after it.
+        plain = _run(FastEnabledScheduler, seed=0)
+        assert max(f.at for f in NOOP_BARRIERS) < plain.interactions
+        recorder = TraceRecorder()
+        barred = simulate(
+            binary_threshold_protocol(5),
+            Multiset({"p0": 24}),
+            seed=0,
+            scheduler=FastEnabledScheduler(),
+            faults=NOOP_BARRIERS,
+            max_interactions=300_000,
+            observer=recorder,
+        )
+        assert _fingerprint(barred) == _fingerprint(plain)
+        fired = [e.step for e in recorder.events if e.kind == "fault"]
+        assert fired == [f.at for f in NOOP_BARRIERS]
+
+    def test_noop_barriers_keep_the_uniform_law(self):
+        # Uniform mode re-draws a null run cut at a barrier, so the random
+        # stream differs, but the geometric law is memoryless: the run
+        # length to detected silence keeps its distribution.  Every run
+        # here lasts past the last barrier (the shortest of 250 takes 204
+        # interactions), so no run is fast-forwarded.  250 runs per side.
+        pp = majority_protocol()
+        config = Multiset({"X": 30, "Y": 20})
+        bins = [0, 296, 368, 460, 10**9]
+
+        def binned(faults, seed0):
+            lengths = [
+                simulate(
+                    pp,
+                    config,
+                    seed=seed0 + s,
+                    scheduler=FastUniformScheduler(),
+                    faults=faults,
+                    max_interactions=50_000,
+                    convergence_window=10**9,
+                    check_silence_every=4,
+                ).interactions
+                for s in range(250)
+            ]
+            return [
+                sum(1 for v in lengths if lo <= v < hi)
+                for lo, hi in zip(bins, bins[1:])
+            ]
+
+        plain = binned(None, 0)
+        barred = binned(NOOP_BARRIERS, 10_000)
+        stat = two_sample_chi2(plain, barred)
+        assert stat < CHI2_CRIT_001[len(bins) - 2], (stat, plain, barred)
+
+    @pytest.mark.parametrize(
+        "scheduler_cls", [FastEnabledScheduler, FastUniformScheduler]
+    )
+    def test_deadline_cuts_a_densely_faulted_run(self, scheduler_cls):
+        # A trigger every third step: the deadline clock must keep ticking
+        # across the short segments between barriers.
+        plan = FaultPlan.periodic_corruption(start=1, period=3, count=50_000)
+        result = simulate(
+            binary_threshold_protocol(5),
+            Multiset({"p0": 4}),
+            seed=0,
+            scheduler=scheduler_cls(),
+            faults=plan,
+            max_interactions=150_000,
+            convergence_window=10**9,
+            deadline=0.01,
+        )
+        assert result.deadline_exceeded is True
+        assert result.verdict is None
+        assert result.interactions < 150_000
 
 
 class TestRegisterView:

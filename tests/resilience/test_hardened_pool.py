@@ -208,6 +208,24 @@ class TestDeadlines:
                 convergence_window=400_000_000,
             )
 
+    def test_deadline_passed_before_first_wait_abandons_workers(self):
+        # Forking the workers can outlast a short deadline: the call must
+        # raise at once instead of waiting for attempts that run for hours.
+        start = time.monotonic()
+        with pytest.raises(NonConvergenceError, match="deadline"):
+            decide_parallel(
+                binary_threshold_protocol(5),
+                Multiset({"p0": 5_000}),
+                base=0,
+                attempts=2,
+                jobs=2,
+                deadline=1e-9,
+                scheduler=UniformPairScheduler(),
+                max_interactions=500_000_000,
+                convergence_window=400_000_000,
+            )
+        assert time.monotonic() - start < 30
+
     def test_per_attempt_timeout_lets_later_attempts_win(self):
         # A tiny per-attempt budget times the slow attempts out, but the
         # overall call keeps going and reports how many timed out.

@@ -8,18 +8,15 @@ from repro.baselines import binary_threshold_protocol, majority_protocol
 from repro.core import Multiset
 from repro.core.batched import DenseConfig
 from repro.core.fastpath import EnabledIndex
-from repro.resilience import (
-    DenseView,
-    FaultPlan,
-    JoinAgents,
-    LeaveAgents,
-    MultisetView,
-)
+from repro.resilience import DenseView, FaultPlan, JoinAgents, LeaveAgents
 from repro.runtime.pool import parallel_map
 
-RESIZE_PLAN = FaultPlan(
-    [JoinAgents(at=0, agents=5, state="X"), LeaveAgents(at=0, agents=2)]
-)
+
+def _resize(config):
+    """Five agents join in ``X`` and two leave ``Y`` — a churn resize
+    through the multiset's own change hooks."""
+    config.inc("X", 5)
+    config.dec("Y", 2)
 
 
 def _echo_roundtrip(config):
@@ -31,7 +28,7 @@ def _echo_roundtrip(config):
 class TestMultisetResizeRoundtrip:
     def _resized(self):
         config = Multiset({"X": 6, "Y": 3})
-        RESIZE_PLAN.bind(5).fire(0, MultisetView(majority_protocol(), config))
+        _resize(config)
         assert config.size == 12  # 9 + 5 - 2
         return config
 
@@ -46,7 +43,7 @@ class TestMultisetResizeRoundtrip:
         config = Multiset({"X": 6, "Y": 3})
         index = EnabledIndex(pp)
         index.attach(config)
-        RESIZE_PLAN.bind(5).fire(0, MultisetView(majority_protocol(), config))
+        _resize(config)
 
         clone = pickle.loads(pickle.dumps(config))
         assert clone._watchers is None  # hooks never cross the boundary
