@@ -14,8 +14,9 @@ transition set finite-by-need while preserving the reachable behaviour.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.core._gc import gc_paused
 from repro.core.protocol import PopulationProtocol, Transition
 from repro.machines.machine import OF
 from repro.conversion.states import PointerState
@@ -42,72 +43,66 @@ def with_output_broadcast(
     protocol: PopulationProtocol, name: Optional[str] = None
 ) -> PopulationProtocol:
     """Wrap ``protocol`` with the output broadcast; accepting states are
-    exactly the opinion-true states."""
+    exactly the opinion-true states.
+
+    The ``2·|Q|`` opinion states are created once and shared by every
+    transition (``lifted[q][b]`` is the state ``(q, b)``), so the result
+    holds one object per state and pickles each once.  The epidemic
+    transitions come in ``repr`` order of the inner states, which keeps
+    the transition sequence — and with it the protocol's fingerprint —
+    the same in every process.
+    """
+    with gc_paused():
+        return _broadcast(protocol, name)
+
+
+def _broadcast(protocol: PopulationProtocol, name: Optional[str]) -> PopulationProtocol:
     bits = (False, True)
-    states: List[OpinionState] = [
-        OpinionState(q, b) for q in protocol.states for b in bits
-    ]
+    lifted: Dict[object, Tuple[OpinionState, OpinionState]] = {
+        q: (OpinionState(q, False), OpinionState(q, True)) for q in protocol.states
+    }
+    of_value = {q: _of_value(q) for q in protocol.states}
     transitions: List[Transition] = []
 
     for t in protocol.transitions:
-        broadcast_value: Optional[bool] = None
-        for post in (t.q2, t.r2):
-            value = _of_value(post)
-            if value is not None:
-                broadcast_value = value
+        q, r, q2, r2 = lifted[t.q], lifted[t.r], lifted[t.q2], lifted[t.r2]
+        # The responder's OF value wins if both successors carry one.
+        broadcast_value = of_value[t.r2]
+        if broadcast_value is None:
+            broadcast_value = of_value[t.q2]
         for b1 in bits:
             for b2 in bits:
                 if broadcast_value is None:
-                    transitions.append(
-                        Transition(
-                            OpinionState(t.q, b1),
-                            OpinionState(t.r, b2),
-                            OpinionState(t.q2, b1),
-                            OpinionState(t.r2, b2),
-                        )
-                    )
+                    transitions.append(Transition(q[b1], r[b2], q2[b1], r2[b2]))
                 else:
                     transitions.append(
                         Transition(
-                            OpinionState(t.q, b1),
-                            OpinionState(t.r, b2),
-                            OpinionState(t.q2, broadcast_value),
-                            OpinionState(t.r2, broadcast_value),
+                            q[b1], r[b2], q2[broadcast_value], r2[broadcast_value]
                         )
                     )
 
     # Identity interactions involving the OF agent: opinion epidemics.
-    of_states = [q for q in protocol.states if _of_value(q) is not None]
-    for of_state in of_states:
-        value = _of_value(of_state)
-        for q in protocol.states:
-            if _of_value(q) is not None:
+    ordered = sorted(protocol.states, key=repr)
+    for of_state in ordered:
+        value = of_value[of_state]
+        if value is None:
+            continue
+        of = lifted[of_state]
+        for base in ordered:
+            if of_value[base] is not None:
                 # Two OF agents never coexist after election; skip the
                 # (unreachable, ill-defined) OF-meets-OF identity pairs.
                 continue
+            q = lifted[base]
             for b1 in bits:
                 for b2 in bits:
-                    transitions.append(
-                        Transition(
-                            OpinionState(of_state, b1),
-                            OpinionState(q, b2),
-                            OpinionState(of_state, value),
-                            OpinionState(q, value),
-                        )
-                    )
-                    transitions.append(
-                        Transition(
-                            OpinionState(q, b2),
-                            OpinionState(of_state, b1),
-                            OpinionState(q, value),
-                            OpinionState(of_state, value),
-                        )
-                    )
+                    transitions.append(Transition(of[b1], q[b2], of[value], q[value]))
+                    transitions.append(Transition(q[b2], of[b1], q[value], of[value]))
 
     return PopulationProtocol(
-        states=states,
+        states=[s for pair in lifted.values() for s in pair],
         transitions=transitions,
-        input_states=[OpinionState(q, False) for q in protocol.input_states],
-        accepting_states=[s for s in states if s.opinion],
+        input_states=[lifted[q][False] for q in protocol.input_states],
+        accepting_states=[pair[True] for pair in lifted.values()],
         name=name or f"{protocol.name}+broadcast",
     )

@@ -58,8 +58,9 @@ from math import log
 from time import monotonic
 from typing import Dict, List, Optional, Tuple
 
+from repro.core._gc import gc_paused
 from repro.core.multiset import Multiset
-from repro.core.protocol import PopulationProtocol, Transition
+from repro.core.protocol import PopulationProtocol
 from repro.core.scheduler import EnabledTransitionScheduler, UniformPairScheduler
 from repro.observability.events import LAYER_PROTOCOL
 
@@ -113,109 +114,148 @@ class ModeTable:
     transition (one agent unchanged) touches one fewer state than a naive
     4-count update would.  ``srecs[s]`` is the static repair list of state
     ``s`` — one ``(i, partner, off, weight_mult)`` record per key touching
-    ``s`` (``weight_mult`` folds ``mult`` into the weight in enabled mode
-    and is 1 in uniform mode); ``touch[s]`` lists the keys mentioning
-    state ``s``; ``changing[i]`` flags keys with at least one
-    configuration-changing candidate.  ``hot1[i]`` is the sole ``hot``
-    record of a single-candidate key (``None`` otherwise), so the common
-    case skips the tie-break draw; it is built here, once per table, so
-    that entering a loop costs O(1) however often a faulted run
-    re-enters it.
+    ``s``, in key order (``weight_mult`` folds ``mult`` into the weight in
+    enabled mode and is 1 in uniform mode); ``changing[i]`` flags keys
+    with at least one configuration-changing candidate.  ``hot1[i]`` is
+    the sole ``hot`` record of a single-candidate key (``None``
+    otherwise), so the common case skips the tie-break draw; it is built
+    here, once per table, so that entering a loop costs O(1) however
+    often a faulted run re-enters it.
+
+    Side-specific repair records: from state ``s``'s point of view a
+    key's weight is ``cnt[s]·(cnt[partner] − off)·mult`` (for
+    distinct-state keys ``off = 0`` and the product commutes; for
+    same-state keys the partner is ``s`` itself), so the repair loops can
+    hoist ``cnt[s]`` out of the per-record recomputation.  The lists are
+    static — every key touching ``s``, occupied partner or not — which
+    keeps repairs branch-free: a vacated partner just yields weight 0.
+
+    :class:`TransitionTable` fills both modes in one pass through
+    :meth:`add`; :meth:`freeze` then creates the repair records.
     """
 
-    __slots__ = ("keys", "touch", "changing", "srecs", "hot", "hot1")
+    __slots__ = ("keys", "changing", "srecs", "hot", "hot1")
 
-    def __init__(self, n_states: int, keys: list, fold_mult: bool):
-        self.keys = tuple(keys)
-        touch: List[List[int]] = [[] for _ in range(n_states)]
-        for i, (a, b, _off, _mult, _cands) in enumerate(keys):
-            touch[a].append(i)
-            if b != a:
-                touch[b].append(i)
-        self.touch = tuple(tuple(t) for t in touch)
-        self.changing = tuple(
-            1 if any(c[4] for c in key[4]) else 0 for key in keys
-        )
-        # Side-specific repair records: from state ``s``'s point of view a
-        # key's weight is ``cnt[s]·(cnt[partner] − off)·mult`` (for
-        # distinct-state keys ``off = 0`` and the product commutes; for
-        # same-state keys the partner is ``s`` itself), so the repair
-        # loops can hoist ``cnt[s]`` out of the per-record recomputation.
-        # The lists are static — every key touching ``s``, occupied
-        # partner or not — which keeps repairs branch-free: a vacated
-        # partner just yields weight 0.
-        srecs: List[List[tuple]] = [[] for _ in range(n_states)]
-        for i, (a, b, off, mult, _cands) in enumerate(keys):
-            m_eff = mult if fold_mult else 1
-            srecs[a].append((i, b, off, m_eff))
-            if b != a:
-                srecs[b].append((i, a, off, m_eff))
-        self.srecs = tuple(tuple(r) for r in srecs)
-        self.hot = tuple(tuple((c[4], c[5], c[6]) for c in key[4]) for key in keys)
-        self.hot1 = tuple(h[0] if len(h) == 1 else None for h in self.hot)
+    def __init__(self, n_states: int):
+        self.keys: list = []
+        self.changing: list = []
+        self.srecs: list = [[] for _ in range(n_states)]  # key ids until freeze
+        self.hot: list = []
+        self.hot1: list = []
+
+    def add(self, key: tuple, changing: int, hots: tuple) -> None:
+        """Append ``key`` with its flag and hot records."""
+        i = len(self.keys)
+        a, b = key[0], key[1]
+        self.keys.append(key)
+        self.changing.append(changing)
+        self.hot.append(hots)
+        self.hot1.append(hots[0] if len(hots) == 1 else None)
+        self.srecs[a].append(i)
+        if b != a:
+            self.srecs[b].append(i)
+
+    def freeze(self, fold_mult: bool) -> "ModeTable":
+        """Turn the columns into tuples and the per-state key ids into
+        repair records.  The records are created here, state by state, so
+        that each state's list lies contiguously in memory: the index
+        build and every repair walk whole lists, and records created
+        inside the key loop, interleaved with the candidate records, made
+        the index build twice as slow."""
+        keys = self.keys = tuple(self.keys)
+        srecs = []
+        for s, ids in enumerate(self.srecs):
+            recs = []
+            for i in ids:
+                a, b, off, mult, _cands = keys[i]
+                recs.append((i, b if a == s else a, off, mult if fold_mult else 1))
+            srecs.append(tuple(recs))
+        self.srecs = tuple(srecs)
+        self.changing = tuple(self.changing)
+        self.hot = tuple(self.hot)
+        self.hot1 = tuple(self.hot1)
+        return self
 
 
 class TransitionTable:
-    """Dense-integer compilation of a protocol's transition structure."""
+    """Dense-integer compilation of a protocol's transition structure.
+
+    States are numbered in ``repr`` order and keys are ordered by the
+    ``repr`` of their ``(q, r)`` pair, so the encoding is the same in
+    every process.  The compile is one pass over the pairs, with cyclic
+    GC paused (the table is acyclic): each transition's candidate record
+    and hot record are built once, and the enabled key shares them with
+    the uniform key.  Enabled mode samples only non-no-op transitions
+    (the legacy ``EnabledTransitionScheduler``'s candidate set), uniform
+    mode every matched pair; a key without no-ops is one object in both
+    modes.  A no-op changes no count, so a key's ``changing`` flag is the
+    same in both modes.
+    """
 
     __slots__ = ("states", "sid", "accepting", "enabled", "uniform")
 
     def __init__(self, protocol: PopulationProtocol):
-        # Sorted by repr for a deterministic encoding across runs.
-        self.states: Tuple[object, ...] = tuple(sorted(protocol.states, key=repr))
-        self.sid: Dict[object, int] = {s: i for i, s in enumerate(self.states)}
-        self.accepting: Tuple[bool, ...] = tuple(
+        with gc_paused():
+            self._compile(protocol)
+
+    def _compile(self, protocol: PopulationProtocol) -> None:
+        rep = {s: repr(s) for s in protocol.states}
+        self.states: Tuple[object, ...] = tuple(
+            sorted(protocol.states, key=rep.__getitem__)
+        )
+        sid = self.sid = {s: i for i, s in enumerate(self.states)}
+        acc = self.accepting = tuple(
             s in protocol.accepting_states for s in self.states
         )
-
-        def cand_record(t: Transition):
-            net: Dict[int, int] = {}
-            for s, d in ((t.q, -1), (t.r, -1), (t.q2, 1), (t.r2, 1)):
-                i = self.sid[s]
-                net[i] = net.get(i, 0) + d
-            deltas = tuple((i, d) for i, d in net.items() if d)
-            accept_delta = (
-                int(t.q2 in protocol.accepting_states)
-                + int(t.r2 in protocol.accepting_states)
-                - int(t.q in protocol.accepting_states)
-                - int(t.r in protocol.accepting_states)
-            )
-            return (
-                self.sid[t.q],
-                self.sid[t.r],
-                self.sid[t.q2],
-                self.sid[t.r2],
-                1 if deltas else 0,
-                accept_delta,
-                deltas,
-                t,
-            )
-
-        def build_keys(candidate_filter):
-            keys = []
-            for (q, r), ts in sorted(protocol._index.items(), key=repr):
-                cands = [t for t in ts if candidate_filter(t)]
-                if not cands:
-                    continue
-                keys.append(
-                    (
-                        self.sid[q],
-                        self.sid[r],
-                        1 if q == r else 0,
-                        len(cands),
-                        tuple(cand_record(t) for t in cands),
-                    )
-                )
-            return keys
-
-        # Enabled mode samples only non-no-op transitions (the legacy
-        # EnabledTransitionScheduler's candidate set); uniform mode needs
-        # every matched pair, no-ops included.
         n = len(self.states)
-        self.enabled = ModeTable(
-            n, build_keys(lambda t: not t.is_noop()), fold_mult=True
+        enabled, uniform = ModeTable(n), ModeTable(n)
+        # ``(state_id, net_delta)`` pairs, one object per value (a net
+        # delta is ±1 or ±2): a few thousand distinct pairs stand for
+        # millions of mentions.
+        dpair = [[(s, v) for v in range(-2, 3)] for s in range(n)]
+        pairs = sorted(
+            protocol._index.items(),
+            key=lambda item: f"({rep[item[0][0]]}, {rep[item[0][1]]})",
         )
-        self.uniform = ModeTable(n, build_keys(lambda t: True), fold_mult=False)
+        for (q, r), ts in pairs:
+            a, b = sid[q], sid[r]
+            acc_pre = acc[a] + acc[b]
+            recs: List[tuple] = []
+            hots: List[tuple] = []
+            changing = noops = 0
+            for t in ts:
+                c, d = sid[t.q2], sid[t.r2]
+                if c == a and d == b:
+                    recs.append((a, b, c, d, 0, 0, (), t))
+                    hots.append((0, 0, ()))
+                    noops += 1
+                    continue
+                # Net deltas in first-mention order q, r, q2, r2.
+                net = {a: -1}
+                net[b] = net.get(b, 0) - 1
+                net[c] = net.get(c, 0) + 1
+                net[d] = net.get(d, 0) + 1
+                deltas = tuple([dpair[s][v + 2] for s, v in net.items() if v])
+                ch = 1 if deltas else 0
+                changing |= ch
+                ad = acc[c] + acc[d] - acc_pre
+                recs.append((a, b, c, d, ch, ad, deltas, t))
+                hots.append((ch, ad, deltas))
+            off = 1 if a == b else 0
+            key = (a, b, off, len(recs), tuple(recs))
+            hot_t = tuple(hots)
+            uniform.add(key, changing, hot_t)
+            if not noops:
+                enabled.add(key, changing, hot_t)
+            elif noops < len(recs):
+                kept = [j for j, rec in enumerate(recs) if rec[2] != a or rec[3] != b]
+                enabled.add(
+                    (a, b, off, len(kept), tuple([recs[j] for j in kept])),
+                    changing,
+                    tuple([hots[j] for j in kept]),
+                )
+        self.enabled = enabled.freeze(fold_mult=True)
+        self.uniform = uniform.freeze(fold_mult=False)
 
 
 def get_table(protocol: PopulationProtocol) -> TransitionTable:
@@ -255,7 +295,6 @@ class EnabledIndex:
         "table",
         "mode",
         "keys",
-        "touch",
         "changing",
         "srecs",
         "hot",
@@ -282,7 +321,6 @@ class EnabledIndex:
         self.mode = mode
         mt = self.table.enabled if mode == "enabled" else self.table.uniform
         self.keys = mt.keys
-        self.touch = mt.touch
         self.changing = mt.changing
         self.srecs = mt.srecs
         self.hot = mt.hot
@@ -581,10 +619,10 @@ def _batch_length(
     # at which another key's weight turns positive caps k at that j.
     # (Only keys touching a state the batch changes can newly turn on.)
     w = index.w
-    touch = index.touch
+    srecs = index.srecs
     seen = set()
     for s, _d in deltas:
-        for i2 in touch[s]:
+        for i2, _partner, _off, _mult in srecs[s]:
             if i2 == i or w[i2] or i2 in seen:
                 continue
             seen.add(i2)

@@ -177,13 +177,15 @@ class _Handler(BaseHTTPRequestHandler):
     def _stream_events(self) -> None:
         telemetry = self.telemetry
         bus = telemetry.bus
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.end_headers()
+        # Subscribe before the headers go out: a client that has seen them
+        # must not miss a frame published right after.
         q = bus.subscribe()
         try:
+            self.send_response(200)
+            self.send_header("Content-Type", "text/event-stream")
+            self.send_header("Cache-Control", "no-cache")
+            self.send_header("Connection", "close")
+            self.end_headers()
             while not telemetry.stopping.is_set():
                 try:
                     payload = q.get(timeout=0.5)

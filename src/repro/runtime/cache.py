@@ -34,13 +34,14 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Optional
 
+from repro.core._gc import gc_paused
 from repro.core.protocol import PopulationProtocol
 
 #: Bumped whenever the pickled artifact layout changes incompatibly
 #: (e.g. a TransitionTable slot is added): old disk entries then simply
 #: miss instead of deserialising garbage.  v2: checksummed disk format.
-#: v3: ``ModeTable.hot1``.
-SCHEMA_VERSION = 3
+#: v3: ``ModeTable.hot1``.  v4: ``ModeTable.touch`` dropped.
+SCHEMA_VERSION = 4
 
 #: Disk entry layout: magic, 16-byte blake2b of the payload, payload.
 #: The checksum catches torn writes and bit rot *before* ``pickle.load``
@@ -181,7 +182,10 @@ class ArtifactCache:
                     self._quarantine(path)
                 else:
                     try:
-                        value = pickle.loads(blob[header:])
+                        # A compiled artefact is a large acyclic tree of
+                        # tuples: no cycle collection while it loads.
+                        with gc_paused():
+                            value = pickle.loads(blob[header:])
                     except Exception:
                         # Checksum held but the payload predates a code
                         # change (e.g. a renamed class): same treatment.

@@ -54,6 +54,20 @@ class TestStructure:
                 assert t.r.opinion == t.r2.opinion
 
 
+class TestInterning:
+    def test_transitions_share_the_protocols_state_objects(self, pipeline):
+        """One object per opinion state: every state a transition, input
+        or accepting set mentions *is* the member of ``protocol.states``."""
+        protocol = pipeline.protocol
+        members = {id(s) for s in protocol.states}
+        assert len(members) == protocol.state_count
+        for t in protocol.transitions:
+            for s in (t.q, t.r, t.q2, t.r2):
+                assert id(s) in members, t
+        for s in protocol.input_states | protocol.accepting_states:
+            assert id(s) in members, s
+
+
 class TestBehaviour:
     def test_epidemic_of_true_opinion(self, pipeline):
         """Starting from a pi-like config with OF = true, every agent

@@ -2,6 +2,7 @@
 legacy schedulers, distributional equivalence of the fast schedulers, and
 exactness of batch collapsing / geometric null-step skip-ahead."""
 
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from repro.core import (
     UniformPairScheduler,
     simulate,
 )
+from repro.core.fastpath import TransitionTable
 from repro.observability import TraceRecorder
 from repro.observability import events as ev
 
@@ -253,6 +255,121 @@ class TestFastGoldenSeeds:
             result.interactions,
             result.productive,
             dict(result.final.items()),
+        ) == tuple(expected)
+
+
+# ----------------------------------------------------------------------
+# Compiled-protocol pins: the table compile must keep its encoding
+# ----------------------------------------------------------------------
+def table_digest(table):
+    """blake2b over every compiled field but the ``Transition`` objects:
+    states, accepting flags and, per mode, the keys (candidate records
+    without their transition), ``srecs``, ``changing``, ``hot`` and
+    ``hot1``."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(repr([repr(s) for s in table.states]).encode())
+    h.update(repr(table.accepting).encode())
+    for mt in (table.enabled, table.uniform):
+        keys = tuple(
+            (a, b, off, mult, tuple(c[:7] for c in cands))
+            for a, b, off, mult, cands in mt.keys
+        )
+        for part in (keys, mt.srecs, mt.changing, mt.hot, mt.hot1):
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+#: thr2's compiled table (294 states, 52,756 enabled and 53,892 uniform
+#: keys): state ids, key order, candidate order and ``srecs`` order.
+THR2_TABLE_DIGEST = "6abdc23e913aa7b77d007d0fa7318c37"
+
+# (scheduler, seed, verdict, silent, interactions, productive, final by
+# state repr) for uninjected thr2 runs on 13 agents (threshold k + |F| =
+# 11; max_interactions=20_000, convergence_window=300).  fast_enabled
+# accepts by the convergence window; both uniform runs exhaust the budget
+# mid-computation, so their final configurations depend on every sampled
+# key and candidate.
+THR2_PINS = [
+    (
+        "fast_enabled", 1, True, False, 604, 604,
+        {
+            "('x', T)": 4, "(CF^False_none, T)": 1, "(IP^33_none, T)": 1,
+            "(OF^True_none, T)": 1, "(P[Clean]^15_none, T)": 1,
+            "(P[Main]^3_none, T)": 1, "(P[Test(2)]^7_none, T)": 1,
+            "(V[#]^'x'_none, T)": 1, "(V[x]^'x'_none, T)": 1,
+            "(V[y]^'y'_none, T)": 1,
+        },
+    ),
+    (
+        "fast_uniform", 0, None, False, 20_000, 259,
+        {
+            "('x', F)": 1, "('y', F)": 3, "(CF^False_none, F)": 1,
+            "(IP^10_none, F)": 1, "(OF^False_none, F)": 1,
+            "(P[Clean]^10_none, F)": 1, "(P[Main]^3_none, F)": 1,
+            "(P[Test(2)]^7_none, F)": 1, "(V[#]^'x'_none, F)": 1,
+            "(V[x]^'x'_none, F)": 1, "(V[y]^'y'_none, F)": 1,
+        },
+    ),
+    (
+        "fast_uniform_first", 0, None, False, 20_000, 206,
+        {
+            "('x', F)": 4, "(CF^False_none, F)": 1, "(IP^6_none, F)": 1,
+            "(OF^False_none, F)": 1, "(P[Clean]^10_none, F)": 1,
+            "(P[Main]^3_none, F)": 1, "(P[Test(2)]^7_none, F)": 1,
+            "(V[#]^'x'_none, F)": 1, "(V[x]^'x'_none, F)": 1,
+            "(V[y]^'y'_none, F)": 1,
+        },
+    ),
+]
+
+
+class TestCompiledProtocolPins:
+    def test_thr2_table_is_pinned(self, thr2_pipeline):
+        assert table_digest(TransitionTable(thr2_pipeline.protocol)) == (
+            THR2_TABLE_DIGEST
+        )
+
+    def test_enabled_records_are_the_uniform_records(self, thr2_pipeline):
+        """The compile builds each candidate's records once: an enabled
+        key's candidate and hot records are the very objects of the
+        uniform key for the same pair, minus its no-ops."""
+        table = TransitionTable(thr2_pipeline.protocol)
+        uniform = {key[:2]: i for i, key in enumerate(table.uniform.keys)}
+        noops = 0
+        for i, (a, b, _off, _mult, cands) in enumerate(table.enabled.keys):
+            u = uniform[a, b]
+            kept = [
+                j
+                for j, c in enumerate(table.uniform.keys[u][4])
+                if not c[7].is_noop()
+            ]
+            noops += len(table.uniform.keys[u][4]) - len(kept)
+            assert len(kept) == len(cands)
+            for j, cand in zip(kept, cands):
+                assert cand is table.uniform.keys[u][4][j]
+            for j, hot in zip(kept, table.enabled.hot[i]):
+                assert hot is table.uniform.hot[u][j]
+        assert noops  # thr2 has mixed keys, so the filtered path is covered
+
+    @pytest.mark.parametrize("pin", THR2_PINS, ids=lambda p: f"{p[0]}-seed{p[1]}")
+    def test_uninjected_thr2_run_is_pinned(self, thr2_pipeline, pin):
+        name, seed, *expected = pin
+        protocol = thr2_pipeline.protocol
+        (init,) = protocol.input_states
+        result = simulate(
+            protocol,
+            Multiset({init: 13}),
+            seed=seed,
+            scheduler=FAST_SCHEDULERS[name](),
+            max_interactions=20_000,
+            convergence_window=300,
+        )
+        assert (
+            result.verdict,
+            result.silent,
+            result.interactions,
+            result.productive,
+            {repr(s): c for s, c in result.final.items()},
         ) == tuple(expected)
 
 

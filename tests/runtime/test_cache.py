@@ -220,3 +220,59 @@ class TestCachedCompilations:
         assert protocol_fingerprint(warm.protocol) == protocol_fingerprint(
             cold.protocol
         )
+
+
+class TestHashSeedIndependence:
+    """A compiled protocol's content address must not depend on the
+    process's string-hash salt (``PYTHONHASHSEED``): otherwise run
+    manifests disagree across processes and a table one process publishes
+    is never found by the next."""
+
+    COMPILE = (
+        "from repro.conversion import compile_program\n"
+        "from repro.programs import simple_threshold_program\n"
+        "protocol = compile_program(simple_threshold_program(2), 'thr2').protocol\n"
+    )
+
+    @staticmethod
+    def run_with_hash_seed(script, hash_seed, **env_extra):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), **env_extra)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_fingerprint_is_hash_seed_independent(self):
+        script = self.COMPILE + (
+            "import json\n"
+            "from repro.runtime.cache import protocol_fingerprint\n"
+            "print(json.dumps(protocol_fingerprint(protocol)))\n"
+        )
+        first = self.run_with_hash_seed(script, 0)
+        second = self.run_with_hash_seed(script, 1)
+        assert first == second
+
+    def test_cold_compile_hits_a_table_another_process_published(self, tmp_path):
+        script = self.COMPILE + (
+            "import json\n"
+            "from repro.runtime.cache import artifact_cache, cached_transition_table\n"
+            "cached_transition_table(protocol)\n"
+            "print(json.dumps(artifact_cache().stats()))\n"
+        )
+        writer = self.run_with_hash_seed(script, 0, REPRO_CACHE_DIR=str(tmp_path))
+        assert (writer["misses"], writer["disk_hits"]) == (1, 0)
+        reader = self.run_with_hash_seed(script, 1, REPRO_CACHE_DIR=str(tmp_path))
+        assert (reader["misses"], reader["disk_hits"]) == (0, 1)
+        assert len(list(tmp_path.glob("*.pkl"))) == 1
