@@ -10,15 +10,17 @@ around that observation:
   protocol instance): states are encoded as dense integers, every ``(q,
   r)`` pair with transitions becomes a *key* with the precomputed data the
   inner loop needs (pair-weight offset, candidate tuples with net deltas
-  and output deltas), plus per-state lists of the keys each state touches.
+  and output deltas), plus a dense ``(q, r) → key`` map.
 * :class:`EnabledIndex` — the incremental index.  It maintains, per key,
   the ordered-pair weight ``c_q·(c_r − [q=r])`` (times the candidate
-  multiplicity in enabled mode) and a dense *active list* of keys with
-  positive weight used for weighted sampling by linear scan.  A step's
-  repair recomputes just the keys touching the (≤ 4, usually fewer)
-  states whose count changed, via static per-state record lists.  The
-  index can :meth:`~EnabledIndex.attach` to a :class:`Multiset` and stay
-  exact through arbitrary ``inc``/``dec`` calls via the multiset's change
+  multiplicity in enabled mode), a dense *active list* of keys with
+  positive weight used for weighted sampling by linear scan, and the
+  list of occupied states.  A step's repair recomputes just the keys
+  between the (≤ 4, usually fewer) states whose count changed and the
+  occupied states, found through the pair map, so it costs O(|support|)
+  however many keys a state has.  The index can
+  :meth:`~EnabledIndex.attach` to a :class:`Multiset` and stay exact
+  through arbitrary ``inc``/``dec`` calls via the multiset's change
   hooks.
 * :func:`run_fast_simulation` — the drop-in driver used by
   :func:`repro.core.simulate` for the fast schedulers.  It adds O(Δ)
@@ -54,6 +56,7 @@ pair weight, which the index answers by scanning the (small) active list.
 from __future__ import annotations
 
 import random
+from array import array
 from math import log
 from time import monotonic
 from typing import Dict, List, Optional, Tuple
@@ -112,69 +115,73 @@ class ModeTable:
     ``hot[i]`` carries just ``(changes, accept_delta, deltas)`` per
     candidate: the inner loops apply the *net* deltas, so a catalyst-style
     transition (one agent unchanged) touches one fewer state than a naive
-    4-count update would.  ``srecs[s]`` is the static repair list of state
-    ``s`` — one ``(i, partner, off, weight_mult)`` record per key touching
-    ``s``, in key order (``weight_mult`` folds ``mult`` into the weight in
-    enabled mode and is 1 in uniform mode); ``changing[i]`` flags keys
-    with at least one configuration-changing candidate.  ``hot1[i]`` is
-    the sole ``hot`` record of a single-candidate key (``None``
-    otherwise), so the common case skips the tie-break draw; it is built
-    here, once per table, so that entering a loop costs O(1) however
-    often a faulted run re-enters it.
+    4-count update would.  ``changing[i]`` flags keys with at least one
+    configuration-changing candidate.  ``hot1[i]`` is the sole ``hot``
+    record of a single-candidate key (``None`` otherwise), so the common
+    case skips the tie-break draw; it is built here, once per table, so
+    that entering a loop costs O(1) however often a faulted run re-enters
+    it.
 
-    Side-specific repair records: from state ``s``'s point of view a
-    key's weight is ``cnt[s]·(cnt[partner] − off)·mult`` (for
-    distinct-state keys ``off = 0`` and the product commutes; for
-    same-state keys the partner is ``s`` itself), so the repair loops can
-    hoist ``cnt[s]`` out of the per-record recomputation.  The lists are
-    static — every key touching ``s``, occupied partner or not — which
-    keeps repairs branch-free: a vacated partner just yields weight 0.
+    ``pair[a·n + b]`` is the id of the key for the ordered pair ``(a,
+    b)``, or −1: one dense ``array('i')`` of ``n²`` entries (3.1 MB on
+    Theorem 1's protocol at n=1).  The index repairs a changed state ``s``
+    by looking up ``(s, p)`` and ``(p, s)`` for each *occupied* partner
+    ``p``, so a repair costs O(|support|) rather than O(degree of ``s``):
+    the paper's protocol has about 970 keys per state but is decided on
+    15–16 agents.  ``wmult[i]`` is the factor a key's pair weight is
+    multiplied by: ``mult`` in enabled mode, 1 in uniform mode.
 
     :class:`TransitionTable` fills both modes in one pass through
-    :meth:`add`; :meth:`freeze` then creates the repair records.
+    :meth:`add`; :meth:`freeze` then turns the columns into tuples.
     """
 
-    __slots__ = ("keys", "changing", "srecs", "hot", "hot1")
+    __slots__ = ("n", "keys", "changing", "hot", "hot1", "pair", "wmult")
 
     def __init__(self, n_states: int):
+        self.n = n_states
         self.keys: list = []
         self.changing: list = []
-        self.srecs: list = [[] for _ in range(n_states)]  # key ids until freeze
         self.hot: list = []
         self.hot1: list = []
+        self.pair = array("i", [-1]) * (n_states * n_states)
 
     def add(self, key: tuple, changing: int, hots: tuple) -> None:
         """Append ``key`` with its flag and hot records."""
-        i = len(self.keys)
-        a, b = key[0], key[1]
+        self.pair[key[0] * self.n + key[1]] = len(self.keys)
         self.keys.append(key)
         self.changing.append(changing)
         self.hot.append(hots)
         self.hot1.append(hots[0] if len(hots) == 1 else None)
-        self.srecs[a].append(i)
-        if b != a:
-            self.srecs[b].append(i)
 
     def freeze(self, fold_mult: bool) -> "ModeTable":
-        """Turn the columns into tuples and the per-state key ids into
-        repair records.  The records are created here, state by state, so
-        that each state's list lies contiguously in memory: the index
-        build and every repair walk whole lists, and records created
-        inside the key loop, interleaved with the candidate records, made
-        the index build twice as slow."""
+        """Turn the columns into tuples and fill ``wmult``."""
         keys = self.keys = tuple(self.keys)
-        srecs = []
-        for s, ids in enumerate(self.srecs):
-            recs = []
-            for i in ids:
-                a, b, off, mult, _cands = keys[i]
-                recs.append((i, b if a == s else a, off, mult if fold_mult else 1))
-            srecs.append(tuple(recs))
-        self.srecs = tuple(srecs)
         self.changing = tuple(self.changing)
         self.hot = tuple(self.hot)
         self.hot1 = tuple(self.hot1)
+        if fold_mult:
+            self.wmult = array("i", [key[3] for key in keys])
+        else:
+            self.wmult = array("i", [1]) * len(keys)
         return self
+
+    @property
+    def srecs(self) -> tuple:
+        """Per-state records ``(i, partner, off, wmult[i])`` of every key
+        touching the state, in key order: the static repair lists of the
+        earlier design, derived from ``keys`` on each access.  A read-only
+        view for measurement and tests; nothing on the compile, load or
+        run path reads it.  The records are acyclic, so cyclic GC is
+        paused while they are built (1.8 → 0.2 s on Lipton n=1)."""
+        recs: List[list] = [[] for _ in range(self.n)]
+        wmult = self.wmult
+        with gc_paused():
+            for i, (a, b, off, _mult, _cands) in enumerate(self.keys):
+                m = wmult[i]
+                recs[a].append((i, b, off, m))
+                if b != a:
+                    recs[b].append((i, a, off, m))
+            return tuple(map(tuple, recs))
 
 
 class TransitionTable:
@@ -276,33 +283,72 @@ class EnabledIndex:
 
     Invariant (checked by :meth:`validate`): for every key ``i = (a, b)``,
 
-    * ``w[i] == cnt[a]·(cnt[b] − off) · weight_mult`` (never negative:
+    * ``w[i] == cnt[a]·(cnt[b] − off) · wmult[i]`` (never negative:
       ``off = 1`` only for same-state keys, whose ``c·(c−1)`` is ≥ 0 for
       every integer count);
     * ``active`` lists exactly the keys with ``w[i] > 0`` and ``total``
-      is their sum.
+      is their sum;
+    * ``occ`` lists exactly the occupied states (``cnt[s] > 0``), and
+      ``occpos[s]`` is the position of ``s`` in it, or −1.
 
-    After a count change of state ``s`` the keys whose weight may have
-    moved are exactly ``srecs[s]`` — the *static* list of keys touching
-    ``s`` — so a repair is a branch-free O(degree of ``s``) recompute
-    with no membership bookkeeping.  (An earlier design kept dynamic
-    per-state lists restricted to occupied partners; the dict churn of
-    maintaining them on support flips cost more than the few extra
-    multiply-and-compare no-ops the static lists admit.)
+    A key's weight is nonzero only while both of its states are occupied,
+    so after a count change of state ``s`` the repair looks up the keys
+    ``(s, p)`` and ``(p, s)`` of each occupied ``p`` through the table's
+    ``pair`` map: O(|support|) work, not O(degree of ``s``).  Two rules
+    make the outcome — ``active`` order included, and with it every
+    seeded run — equal to a walk over every key touching ``s`` in key
+    order:
+
+    * Occupancy.  An update first adds all of its count changes, and a
+      state whose count turns positive joins ``occ`` before any repair of
+      that update; a state leaves ``occ`` at the end of its own repair
+      once its count is 0.  So both states of a key whose weight moves
+      are in ``occ`` when the first of them is repaired: a nonzero old
+      weight means both were occupied, a nonzero new weight means both
+      are.
+    * Order.  One state's repair applies its active-set flips
+      (activations and swap-removals) in ascending key id, the order the
+      key-order walk met them.  Weight and ``total`` updates commute and
+      need no ordering.
+
+    :meth:`_update` is the one place that applies both rules; every count
+    change, the single-step loops' included, goes through it.
+
+    Supports are small where it matters.  Wrapping the repair over two
+    cycles of each e2e benchmark workload (seed 5) counted 15.0 occupied
+    states per repaired state on average (at most 18) on Theorem 1's
+    protocol at n=1, 10.6 (at most 14) in the compiled sweep, 2 in the
+    large-n fast-uniform reference and 14.7 (at most 39) under dense
+    faults.  A repair can see more occupied states than there are agents
+    — 18 on 16 agents — because an update's destinations join ``occ``
+    before its sources leave; the support itself peaked at 16, 13, 2 and
+    38 (of 294) states.  A state of the paper's protocol touches about
+    970 keys, so the earlier design — a static list of every key
+    touching each state, occupied partner or not — walked about 1,980
+    records per update on the paper path, where the pair map makes about
+    74 lookups; about 5 weights actually change.  The trade runs the
+    other way only when a state touches fewer keys than there are
+    occupied states: on the 4-state majority protocol (2–3 keys per
+    state, all 4 occupied) a repair makes 7 lookups where the static
+    walk read 2–3 records.
     """
 
     __slots__ = (
         "table",
         "mode",
+        "n",
         "keys",
         "changing",
-        "srecs",
         "hot",
         "hot1",
+        "pair",
+        "wmult",
         "cnt",
         "w",
         "active",
         "activepos",
+        "occ",
+        "occpos",
         "total",
         "churn",
         "_watched",
@@ -320,36 +366,36 @@ class EnabledIndex:
         self.table = get_table(protocol)
         self.mode = mode
         mt = self.table.enabled if mode == "enabled" else self.table.uniform
+        self.n = mt.n
         self.keys = mt.keys
         self.changing = mt.changing
-        self.srecs = mt.srecs
         self.hot = mt.hot
         self.hot1 = mt.hot1
-        n_states = len(self.table.states)
-        self.cnt: List[int] = [0] * n_states
-        self.w: List[int] = [0] * len(self.keys)
-        self.active: List[int] = []
-        self.activepos: Dict[int, int] = {}
-        self.total = 0
+        self.pair = mt.pair
+        self.wmult = mt.wmult
         self.churn = 0
         self._watched: Optional[Multiset] = None
-        if config is not None:
-            self.rebuild(config)
+        self.rebuild(config if config is not None else Multiset())
+
+    @property
+    def srecs(self) -> tuple:
+        """The mode table's derived per-state key records
+        (:attr:`ModeTable.srecs`); no repair reads them."""
+        mt = self.table.enabled if self.mode == "enabled" else self.table.uniform
+        return mt.srecs
 
     # -- construction / sync -------------------------------------------
     def rebuild(self, config: Multiset) -> None:
         """Reset all incremental state from a configuration snapshot."""
-        sid = self.table.sid
-        n_states = len(self.table.states)
-        self.cnt = [0] * n_states
-        for state, count in config.items():
-            self.cnt[sid[state]] = count
-        self.w = [0] * len(self.keys)
-        self.active = []
-        self.activepos = {}
+        self.cnt: List[int] = [0] * self.n
+        self.w: List[int] = [0] * len(self.keys)
+        self.active: List[int] = []
+        self.activepos: Dict[int, int] = {}
+        self.occ: List[int] = []
+        self.occpos: List[int] = [-1] * self.n
         self.total = 0
-        for s in range(n_states):
-            self.fix_state(s)
+        sid = self.table.sid
+        self.update(sorted((sid[state], count) for state, count in config.items()))
 
     # -- multiset change hooks -----------------------------------------
     def attach(self, config: Multiset) -> None:
@@ -369,55 +415,115 @@ class EnabledIndex:
         s = self.table.sid.get(state)
         if s is None:  # state foreign to the protocol: no keys touch it
             return
-        self.cnt[s] = new_count
-        self.fix_state(s)
+        self.update(((s, new_count - self.cnt[s]),))
 
     # -- incremental repair --------------------------------------------
-    def fix_state(self, s: int) -> None:
-        """Re-establish the invariant for every key touching state ``s``.
+    def update(self, deltas, k: int = 1) -> None:
+        """Add ``k·d`` to the count of state ``s`` for each ``(s, d)`` in
+        ``deltas`` and repair the index (:meth:`_update`).  Batch apply,
+        fault repair, resizes, the watcher and :meth:`rebuild` all update
+        through here.
 
-        Idempotent and correct regardless of how ``cnt[s]`` got to its
-        current value, so it serves the watcher path and the bulk count
-        updates of the batch mode alike.
-
-        ``churn`` counts active-set membership changes made here (batch
-        apply, fault repair, attach/rebuild).  The single-step loops keep
-        their own inlined copy of this repair and deliberately do *not*
-        count — the hot path stays branch-free for the null-observer
-        overhead budget — so the counter measures index turnover on the
+        ``churn`` counts the active-set membership changes made here.  The
+        single-step loops call :meth:`_update` directly and deliberately
+        do *not* count, so the counter measures index turnover on the
         repair path, not per-interaction flips.
         """
+        dtotal, flipped = self._update(deltas, k)
+        self.total += dtotal
+        self.churn += flipped
+
+    def _update(self, deltas, k: int = 1) -> Tuple[int, int]:
+        """The one repair.  Add every count change, occupy every state
+        whose count turned positive (the occupancy rule), then repair each
+        changed state ``s`` in turn: recompute the keys between ``s`` and
+        each occupied state, apply the active-set flips in ascending key
+        id, and vacate ``s`` if its count is 0.  Returns the change of
+        ``total``, which it leaves to the caller (the single-step loops
+        keep ``total`` in a local), and the number of flips."""
         cnt = self.cnt
         w = self.w
-        active = self.active
-        activepos = self.activepos
-        c_s = cnt[s]
-        for i, partner, off, m_eff in self.srecs[s]:
-            v = c_s * (cnt[partner] - off) * m_eff
-            old = w[i]
-            if v != old:
-                self.total += v - old
-                w[i] = v
-                if not old:
-                    activepos[i] = len(active)
-                    active.append(i)
-                    self.churn += 1
-                elif not v:
-                    pos = activepos.pop(i)
-                    last = active.pop()
-                    if last != i:
-                        active[pos] = last
-                        activepos[last] = pos
-                    self.churn += 1
+        pair = self.pair
+        wmult = self.wmult
+        occ = self.occ
+        occpos = self.occpos
+        n = self.n
+        for s, d in deltas:
+            c = cnt[s] + d * k
+            cnt[s] = c
+            if c > 0 and occpos[s] < 0:
+                occpos[s] = len(occ)
+                occ.append(s)
+        dtotal = nflips = 0
+        for s, _d in deltas:
+            c_s = cnt[s]
+            row = s * n
+            flips = []
+            for p in occ:
+                # A product is formed only for a key that exists: on a
+                # sparse table most of the occupied partners share none.
+                i = pair[row + p]  # the key (s, p)
+                if p == s:
+                    if i >= 0:
+                        v = c_s * (c_s - 1) * wmult[i]
+                        old = w[i]
+                        if v != old:
+                            dtotal += v - old
+                            w[i] = v
+                            if not (old and v):
+                                flips.append(i)
+                    continue
+                if i >= 0:
+                    v = c_s * cnt[p] * wmult[i]
+                    old = w[i]
+                    if v != old:
+                        dtotal += v - old
+                        w[i] = v
+                        if not (old and v):
+                            flips.append(i)
+                i = pair[p * n + s]  # the key (p, s)
+                if i >= 0:
+                    v = cnt[p] * c_s * wmult[i]
+                    old = w[i]
+                    if v != old:
+                        dtotal += v - old
+                        w[i] = v
+                        if not (old and v):
+                            flips.append(i)
+            if flips:
+                # Ascending key id: the order in which a walk over every
+                # key touching s, in key order, flips them.
+                flips.sort()
+                nflips += len(flips)
+                active = self.active
+                activepos = self.activepos
+                for i in flips:
+                    if w[i]:
+                        activepos[i] = len(active)
+                        active.append(i)
+                    else:
+                        pos = activepos.pop(i)
+                        last = active.pop()
+                        if last != i:
+                            active[pos] = last
+                            activepos[last] = pos
+            if not c_s:
+                pos = occpos[s]
+                if pos >= 0:
+                    last = occ.pop()
+                    if last != s:
+                        occ[pos] = last
+                        occpos[last] = pos
+                    occpos[s] = -1
+        return dtotal, nflips
 
     # -- dynamic population --------------------------------------------
     def grow(self, s: int, k: int = 1) -> None:
         """Add ``k`` agents in state id ``s`` and repair the invariant —
-        the join half of dynamic-population support.  ``fix_state`` is
-        idempotent and count-driven, so a resize is indistinguishable
-        from any other count change to the index."""
-        self.cnt[s] += k
-        self.fix_state(s)
+        the join half of dynamic-population support.  The repair is
+        count-driven, so a resize is indistinguishable from any other
+        count change to the index."""
+        self.update(((s, k),))
 
     def shrink(self, s: int, k: int = 1) -> None:
         """Remove ``k`` agents from state id ``s`` (the leave half);
@@ -427,8 +533,7 @@ class EnabledIndex:
                 f"cannot remove {k} agents from state "
                 f"{self.table.states[s]!r} (count {self.cnt[s]})"
             )
-        self.cnt[s] -= k
-        self.fix_state(s)
+        self.update(((s, -k),))
 
     @property
     def population(self) -> int:
@@ -443,10 +548,8 @@ class EnabledIndex:
         a, b = sid.get(q), sid.get(r)
         if a is None or b is None:
             return 0
-        for i, (ka, kb, _off, _mult, _cands) in enumerate(self.keys):
-            if ka == a and kb == b:
-                return self.w[i]
-        return 0
+        i = self.pair[a * self.n + b]
+        return self.w[i] if i >= 0 else 0
 
     def enabled_weights(self) -> Dict[Tuple[object, object], int]:
         """``{(q, r): weight}`` for every key with positive weight."""
@@ -497,6 +600,12 @@ class EnabledIndex:
             assert (i in self.activepos) == (v > 0)
         assert self.total == expected_total
         assert sorted(self.active) == sorted(self.activepos)
+        support = [s for s, c in enumerate(self.cnt) if c > 0]
+        assert sorted(self.occ) == support, (sorted(self.occ), support)
+        assert [self.occ[p] for p in map(self.occpos.__getitem__, self.occ)] == (
+            self.occ
+        )
+        assert sum(p >= 0 for p in self.occpos) == len(self.occ)
 
 
 # ----------------------------------------------------------------------
@@ -617,18 +726,24 @@ def _batch_length(
 
     # No other key may become enabled before the batch ends: the first j
     # at which another key's weight turns positive caps k at that j.
-    # (Only keys touching a state the batch changes can newly turn on.)
+    # Only keys touching a state the batch changes can newly turn on, and
+    # only if their other state is occupied or changed by the batch too:
+    # an empty state the batch leaves alone stays empty.
     w = index.w
-    srecs = index.srecs
+    pair = index.pair
+    n = index.n
+    partners = index.occ + [s for s in delta_map if not cnt[s]]
     seen = set()
-    for s, _d in deltas:
-        for i2, _partner, _off, _mult in srecs[s]:
-            if i2 == i or w[i2] or i2 in seen:
-                continue
-            seen.add(i2)
-            first = _first_positive_weight(keys[i2], cnt, delta_map)
-            if first is not None and first < k:
-                k = first
+    for s in delta_map:
+        row = s * n
+        for p in partners:
+            for i2 in (pair[row + p], pair[p * n + s]):
+                if i2 < 0 or i2 == i or w[i2] or i2 in seen:
+                    continue
+                seen.add(i2)
+                first = _first_positive_weight(keys[i2], cnt, delta_map)
+                if first is not None and first < k:
+                    k = first
     if k <= 1:
         return k
 
@@ -974,11 +1089,7 @@ def _apply(index, run, ch, ad, deltas):
     """Apply one candidate's net deltas through the repairing index."""
     if ch:
         run.productive += 1
-        cnt = index.cnt
-        for s, d in deltas:
-            cnt[s] += d
-        for s, _d in deltas:
-            index.fix_state(s)
+        index.update(deltas)
         run.accept += ad
 
 
@@ -988,13 +1099,12 @@ def _enabled_loop(index: EnabledIndex, run: _Run, *, rng, stop, obs, deadline_at
     states = index.table.states
     cnt = index.cnt
     w = index.w
-    srecs = index.srecs
     active = index.active
-    activepos = index.activepos
     hot = index.hot
     hot1 = index.hot1
     keys = index.keys
-    fix_state = index.fix_state
+    update = index.update
+    repair = index._update
     rnd = rng.random
     randrange = rng.randrange
 
@@ -1052,10 +1162,7 @@ def _enabled_loop(index: EnabledIndex, run: _Run, *, rng, stop, obs, deadline_at
                 if k > 1:
                     ad = cand[5]
                     interactions += k
-                    for s, d in cand[6]:
-                        cnt[s] += d * k
-                    for s, _d in cand[6]:
-                        fix_state(s)
+                    update(cand[6], k)
                     total = index.total
                     if ch:
                         productive += k
@@ -1138,25 +1245,7 @@ def _enabled_loop(index: EnabledIndex, run: _Run, *, rng, stop, obs, deadline_at
         # states is just a no-op the second time.
         if ch:
             productive += 1
-            for s, d in deltas:
-                cnt[s] += d
-            for s, _d in deltas:
-                c_s = cnt[s]
-                for i2, partner, off, m_eff in srecs[s]:
-                    v = c_s * (cnt[partner] - off) * m_eff
-                    old = w[i2]
-                    if v != old:
-                        total += v - old
-                        w[i2] = v
-                        if not old:
-                            activepos[i2] = len(active)
-                            active.append(i2)
-                        elif not v:
-                            pos = activepos.pop(i2)
-                            last = active.pop()
-                            if last != i2:
-                                active[pos] = last
-                                activepos[last] = pos
+            total += repair(deltas)[0]
 
         if obs is not None:
             t = keys[i][4][j][7]
@@ -1211,13 +1300,12 @@ def _uniform_loop(
     states = index.table.states
     cnt = index.cnt
     w = index.w
-    srecs = index.srecs
     active = index.active
-    activepos = index.activepos
     hot = index.hot
     hot1 = index.hot1
     keys = index.keys
     changing = index.changing
+    repair = index._update
     rnd = rng.random
     randrange = rng.randrange
 
@@ -1329,25 +1417,7 @@ def _uniform_loop(
         # is just a no-op the second time.
         if ch:
             productive += 1
-            for s, d in deltas:
-                cnt[s] += d
-            for s, _d in deltas:
-                c_s = cnt[s]
-                for i2, partner, off, m_eff in srecs[s]:
-                    v = c_s * (cnt[partner] - off) * m_eff
-                    old = w[i2]
-                    if v != old:
-                        total += v - old
-                        w[i2] = v
-                        if not old:
-                            activepos[i2] = len(active)
-                            active.append(i2)
-                        elif not v:
-                            pos = activepos.pop(i2)
-                            last = active.pop()
-                            if last != i2:
-                                active[pos] = last
-                                activepos[last] = pos
+            total += repair(deltas)[0]
 
         if obs is not None:
             t = keys[i][4][j][7]

@@ -35,11 +35,12 @@ Per-engine resize strategy (see DESIGN.md §13 for the full story):
 
 * a faulted run on a legacy scheduler executes on its fast twin, so the
   legacy loop never sees a resize;
-* the fast path mutates the :class:`~repro.core.fastpath.EnabledIndex`
-  count array and re-establishes the weight invariant with
-  ``fix_state`` (``EnabledIndex.grow``/``shrink``), then the driver
-  refreshes ``m`` from the view's ``size_delta`` at the barrier, and the
-  uniform loop re-derives ``T = m(m-1)`` when it resumes;
+* the fast path changes the :class:`~repro.core.fastpath.EnabledIndex`
+  counts and re-establishes the weight invariant with
+  ``EnabledIndex.grow``/``shrink`` (an ``update`` of one count); then
+  ``run_fast_simulation`` refreshes ``m`` from the view's ``size_delta``
+  at the barrier, and the uniform loop re-derives ``T = m(m-1)`` when it
+  resumes;
 * the batched engine resizes only *between* batches: the next fault
   trigger is a batch barrier, and the sampler's cached
   ``lgamma``-inversion constants are re-derived via ``set_population``.

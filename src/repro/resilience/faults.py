@@ -223,9 +223,11 @@ class FaultPlan:
 class IndexView:
     """Corruption view over a fast-path :class:`EnabledIndex`.
 
-    Mutates the flat count array and repairs the index via
-    ``fix_state`` after every move, so the weight/active/total invariant
-    holds at all times.  ``accept_delta`` accumulates the net change in
+    Every move, add and remove goes through
+    :meth:`~repro.core.fastpath.EnabledIndex.update`, which applies the
+    count changes, occupies a newly filled destination before it repairs
+    the source, and repairs both, so the index invariant holds at all
+    times.  ``accept_delta`` accumulates the net change in
     the number of accepting agents; the fast driver folds it into its
     O(Δ) output tracking at the barrier instead of rescanning the
     configuration.
@@ -246,10 +248,7 @@ class IndexView:
         index = self.index
         sid = index.table.sid
         a, b = sid[src], sid[dst]
-        index.cnt[a] -= k
-        index.cnt[b] += k
-        index.fix_state(a)
-        index.fix_state(b)
+        index.update(((a, -k), (b, k)))
         accepting = index.table.accepting
         self.accept_delta += k * (int(accepting[b]) - int(accepting[a]))
 

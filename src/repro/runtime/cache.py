@@ -40,8 +40,9 @@ from repro.core.protocol import PopulationProtocol
 #: Bumped whenever the pickled artifact layout changes incompatibly
 #: (e.g. a TransitionTable slot is added): old disk entries then simply
 #: miss instead of deserialising garbage.  v2: checksummed disk format.
-#: v3: ``ModeTable.hot1``.  v4: ``ModeTable.touch`` dropped.
-SCHEMA_VERSION = 4
+#: v3: ``ModeTable.hot1``.  v4: ``ModeTable.touch`` dropped.  v5:
+#: ``ModeTable.pair``/``wmult`` replace the pickled ``srecs`` lists.
+SCHEMA_VERSION = 5
 
 #: Disk entry layout: magic, 16-byte blake2b of the payload, payload.
 #: The checksum catches torn writes and bit rot *before* ``pickle.load``

@@ -18,7 +18,7 @@ from repro.core import (
     UniformPairScheduler,
     simulate,
 )
-from repro.core.fastpath import TransitionTable
+from repro.core.fastpath import TransitionTable, get_table
 from repro.observability import TraceRecorder
 from repro.observability import events as ev
 
@@ -121,6 +121,127 @@ class TestEnabledIndex:
         for _ in range(500):
             i = index.sample_key(rng)
             assert index.w[i] > 0
+
+
+# ----------------------------------------------------------------------
+# Occupancy repair against the static key-order walk
+# ----------------------------------------------------------------------
+class StaticWalkIndex:
+    """Reference index: after a count change of state ``s`` it walks every
+    key touching ``s`` in key order through the derived ``srecs`` records,
+    occupied partner or not, and flips ``active`` membership as it goes."""
+
+    def __init__(self, index, counts):
+        self.srecs = index.srecs
+        self.cnt = list(counts)
+        self.w = [0] * len(index.keys)
+        self.active = []
+        self.activepos = {}
+        self.total = 0
+        for s in range(len(self.cnt)):
+            self.fix(s)
+
+    def update(self, deltas):
+        for s, d in deltas:
+            self.cnt[s] += d
+        for s, _d in deltas:
+            self.fix(s)
+
+    def fix(self, s):
+        cnt, w, active, activepos = self.cnt, self.w, self.active, self.activepos
+        c_s = cnt[s]
+        for i, partner, off, m in self.srecs[s]:
+            v = c_s * (cnt[partner] - off) * m
+            old = w[i]
+            if v != old:
+                self.total += v - old
+                w[i] = v
+                if not old:
+                    activepos[i] = len(active)
+                    active.append(i)
+                elif not v:
+                    pos = activepos.pop(i)
+                    last = active.pop()
+                    if last != i:
+                        active[pos] = last
+                        activepos[last] = pos
+
+
+def _materialise(index):
+    states = index.table.states
+    return Multiset({states[s]: c for s, c in enumerate(index.cnt) if c})
+
+
+class TestOccupancyRepair:
+    @pytest.mark.parametrize("mode", ["enabled", "uniform"])
+    @pytest.mark.parametrize("proto", ["thr2", "binary6"])
+    def test_repair_equals_static_walk(self, thr2_pipeline, proto, mode):
+        from repro.resilience import IndexView
+
+        if proto == "thr2":
+            pp, steps = thr2_pipeline.protocol, 600
+        else:
+            pp, steps = binary_threshold_protocol(6), 1_500
+        states = sorted(pp.states, key=repr)
+        rng = random.Random(5)
+        cfg = Multiset({s: rng.randint(1, 3) for s in rng.sample(states, 6)})
+        index = EnabledIndex(pp, mode=mode)
+        index.attach(cfg)
+        ref = StaticWalkIndex(index, index.cnt)
+        assert index.active == ref.active
+        view = IndexView(index)
+        sid = index.table.sid
+        swaps = 0  # moves that empty the source and fill the destination
+        for step in range(steps):
+            op = rng.random()
+            if op < 0.45:
+                a = rng.choice(index.occ)
+                b = rng.randrange(index.n)
+                k = rng.randint(1, index.cnt[a])
+                empty = [s for s in range(index.n) if not index.cnt[s]]
+                if empty and rng.random() < 0.5:
+                    k, b = index.cnt[a], rng.choice(empty)
+                swaps += k == index.cnt[a] and not index.cnt[b]
+                view.move(index.table.states[a], index.table.states[b], k)
+                ref.update(((a, -k), (b, k)))
+            elif op < 0.65:
+                s, k = rng.randrange(index.n), rng.randint(1, 3)
+                index.grow(s, k)
+                ref.update(((s, k),))
+            elif op < 0.8:
+                s = rng.choice(index.occ)
+                k = rng.randint(1, index.cnt[s])
+                index.shrink(s, k)
+                ref.update(((s, -k),))
+            else:
+                state = rng.choice(states)
+                if rng.random() < 0.5 and cfg[state] > 0:
+                    cfg.dec(state)
+                else:
+                    cfg.inc(state)
+                s = sid[state]
+                ref.update(((s, cfg[state] - ref.cnt[s]),))
+            if not index.occ:
+                index.grow(0)
+                ref.update(((0, 1),))
+            assert index.cnt == ref.cnt
+            assert index.w == ref.w
+            assert index.total == ref.total
+            assert index.active == ref.active
+            if step % 50 == 0:
+                index.validate(_materialise(index))
+        index.validate(_materialise(index))
+        index.detach()
+        assert swaps >= steps // 10
+
+    def test_pair_map_agrees_with_keys(self, thr2_pipeline):
+        table = get_table(thr2_pipeline.protocol)
+        n = len(table.states)
+        for mt in (table.enabled, table.uniform):
+            assert len(mt.pair) == n * n
+            for i, (a, b, _off, _mult, _cands) in enumerate(mt.keys):
+                assert mt.pair[a * n + b] == i
+            assert sum(i != -1 for i in mt.pair) == len(mt.keys)
 
 
 # ----------------------------------------------------------------------

@@ -15,12 +15,16 @@ from repro.core.fastpath import (
 from repro.core.scheduler import EnabledTransitionScheduler, UniformPairScheduler
 from repro.observability.trace import TraceRecorder
 from repro.resilience import (
+    AdversarialScheduler,
+    ChurnProcess,
     CorruptAgents,
     DropInteractions,
     DuplicateInteractions,
     FaultInjector,
     FaultPlan,
     IndexView,
+    JoinAgents,
+    LeaveAgents,
     RegisterView,
     ResetAgents,
     UnfairWindow,
@@ -126,6 +130,114 @@ class TestDeterminism:
         result = _run(scheduler_cls, faults=MIXED_PLAN, population=24)
         assert result.final.size == 24
         assert all(count >= 0 for _, count in result.final.items())
+
+
+def dense_plan(budget, state, seed):
+    """A mixed plan like the e2e benchmark's: a barrier every ``budget/40``
+    steps (corrupt, reset, join, leave in turn), each followed half a
+    period later by a per-step window (drop, duplicate, unfair,
+    adversarial), over a churn process spanning the whole budget."""
+    rng = random.Random(seed)
+    barriers = (
+        lambda at: CorruptAgents(at, agents=rng.randint(1, 4)),
+        lambda at: ResetAgents(at, agents=rng.randint(1, 3), state=state),
+        lambda at: JoinAgents(at, agents=rng.randint(1, 4), state=state),
+        lambda at: LeaveAgents(at, agents=rng.randint(1, 3)),
+    )
+    windows = (
+        lambda at: DropInteractions(at, count=rng.randint(5, 30)),
+        lambda at: DuplicateInteractions(at, count=rng.randint(5, 30)),
+        lambda at: UnfairWindow(at, length=rng.randint(5, 30)),
+        lambda at: AdversarialScheduler(at, length=rng.randint(5, 30), fairness=4),
+    )
+    period = budget // 40
+    faults = []
+    for j, at in enumerate(range(period, budget, period)):
+        faults.append(barriers[j % 4](at))
+        faults.append(windows[j % 4](at + period // 2))
+    faults.append(
+        ChurnProcess(at=0, length=budget, join_rate=0.002, leave_rate=0.002, state=state)
+    )
+    return FaultPlan(faults)
+
+
+# (scheduler, seed, verdict, silent, interactions, productive, population,
+# joined, departed, final by state repr) for thr2 on 40 agents under
+# ``dense_plan(4_000, init, seed)`` with ``max_interactions=4_000``.  The
+# fault repairs (IndexView moves, grow/shrink, per-step window applies)
+# feed every later sample, so these values pin them.
+FAULTED_THR2_PINS = [
+    (
+        "fast_enabled", 0, None, False, 4_000, 3_723, 53, 35, 22,
+        {
+            "('x', F)": 28, "('y', F)": 15, "(CF^False_none, F)": 1,
+            "(IP^1_none, F)": 1, "(IP^6_none, F)": 1, "(OF^False_none, F)": 1,
+            "(P[Clean]^10_none, F)": 1, "(P[Main]^3_none, F)": 1,
+            "(P[Test(2)]^7_none, F)": 1, "(V[#]^'x'_none, F)": 1,
+            "(V[x]^'x'_none, F)": 1, "(V[y]^'y'_none, F)": 1,
+        },
+    ),
+    (
+        "fast_enabled", 1, None, False, 4_000, 3_661, 41, 29, 28,
+        {
+            "('x', T)": 19, "('y', T)": 13, "(CF^True_none, T)": 1,
+            "(IP^32_wait, T)": 1, "(OF^True_none, T)": 1,
+            "(P[Clean]^15_none, T)": 1, "(P[Main]^3_none, T)": 1,
+            "(P[Test(2)]^7_none, T)": 1, "(V[#]^'x'_none, T)": 1,
+            "(V[x]^'x'_none, T)": 1, "(V[y]^'y'_true, T)": 1,
+        },
+    ),
+    (
+        "fast_uniform", 0, None, False, 4_000, 879, 53, 35, 22,
+        {
+            "('x', F)": 24, "(CF^False_none, F)": 1, "(OF^False_none, F)": 2,
+            "(P[Clean]^10_none, F)": 1, "(P[Main]^3_none, F)": 1,
+            "(P[Test(2)]^7_none, F)": 2, "(V[#]^'x'_none, F)": 2,
+            "(V[x]^'x'_none, F)": 13, "(V[y]^'y'_false, F)": 1,
+            "(V[y]^'y'_none, F)": 6,
+        },
+    ),
+    (
+        "fast_uniform", 1, None, False, 4_000, 796, 41, 29, 28,
+        {
+            "('x', F)": 14, "(CF^False_none, F)": 2, "(IP^17_wait, F)": 1,
+            "(OF^False_none, F)": 1, "(P[Clean]^10_none, F)": 1,
+            "(P[Main]^3_none, F)": 3, "(P[Test(2)]^7_none, F)": 3,
+            "(V[#]^'x'_none, F)": 6, "(V[x]^'x'_false, F)": 1,
+            "(V[x]^'x'_none, F)": 4, "(V[y]^'y'_none, F)": 5,
+        },
+    ),
+]
+
+FAST_FAMILIES = dict(FAMILIES[:2])
+
+
+class TestFaultedFastPins:
+    @pytest.mark.parametrize(
+        "pin", FAULTED_THR2_PINS, ids=lambda p: f"{p[0]}-seed{p[1]}"
+    )
+    def test_dense_faulted_thr2_run_is_pinned(self, thr2_pipeline, pin):
+        name, seed, *expected = pin
+        protocol = thr2_pipeline.protocol
+        (init,) = protocol.input_states
+        result = simulate(
+            protocol,
+            Multiset({init: 40}),
+            seed=seed,
+            scheduler=FAST_FAMILIES[name](),
+            faults=dense_plan(4_000, init, seed),
+            max_interactions=4_000,
+        )
+        assert (
+            result.verdict,
+            result.silent,
+            result.interactions,
+            result.productive,
+            result.population,
+            result.joined,
+            result.departed,
+            {repr(s): c for s, c in result.final.items()},
+        ) == tuple(expected)
 
 
 class TestIndexViewInvariants:
