@@ -68,6 +68,22 @@ throughput.  Both backends layer on the run's ``random.Random`` stream:
 the Python rng drives batch lengths and collision draws, and the numpy
 generator (when present) is seeded once per run from that stream, so
 runs are deterministic per (seed, backend).
+
+Cost
+----
+
+A call builds nothing over the compiled table: chunks resolve, and
+silence is decided, through the uniform mode's dense pair map.  A
+batch's Python work grows with the occupied support — the states with a
+positive count — never with ``|Q|``: the samplers draw over the
+support, and the count deltas and post-batch states are sparse.  From
+the all-input configuration (seed 1), a batch's support averages 3–6
+states on the 294-state thr2 protocol at n = 10^5 … 10^8, and 16.5 (at
+most 21) at n = 10^3 on Theorem 1's 876-state protocol at n=1.  The
+numpy draws dominate what is left.  On that protocol (2-vCPU VM,
+min-of-3) a one-interaction call takes 0.26 ms, and the engine runs
+0.29M interactions/s at n = 10^3, 0.75M/s at 10^4, 6.9M/s at 10^6 and
+31M/s at 10^8.
 """
 
 from __future__ import annotations
@@ -168,6 +184,12 @@ class DenseConfig(Multiset):
             )
         super().inc(state, amount)  # validates non-negativity first
         self.cnt[idx] += amount
+
+    def occupied(self) -> List[int]:
+        """The ids of the states with a positive count, ascending — read
+        from the map of positive counts, so O(|support|), not O(|Q|)."""
+        sid = self.sid
+        return sorted([sid[state] for state in self._counts])
 
     def apply_sid_deltas(self, deltas) -> None:
         """Apply ``(state_id, delta)`` pairs as one bulk update.
@@ -302,15 +324,15 @@ class _SamplerBase:
             return total - 1 if x >= total else x
         return self.rng.randrange(total)
 
-    def _draw_state(self, vec, total: int) -> int:
-        """One state id weighted by the count vector ``vec`` (sum = total)."""
+    def _draw_state(self, pairs, total: int) -> int:
+        """One state id from ``(state, count)`` pairs in ascending state
+        order, weighted by count (the counts sum to ``total``)."""
         x = self._randbelow(total)
         acc = 0
-        for s, c in enumerate(vec):
-            if c:
-                acc += c
-                if acc > x:
-                    return s
+        for s, c in pairs:
+            acc += c
+            if acc > x:
+                return s
         raise AssertionError("weighted draw overran its total")
 
     def sample_collision(self, upost, fresh, used: int, untouched: int):
@@ -320,42 +342,46 @@ class _SamplerBase:
         ``(used, used)``, ``(used, fresh)`` and ``(fresh, used)`` —
         weights ``u(u-1)``, ``u·f``, ``f·u`` — i.e. every ordered pair
         except two untouched agents (that would extend the batch).
-        ``upost`` holds the post-batch states of the ``used`` agents.
+        ``upost`` maps each post-batch state of the ``used`` agents to its
+        count; ``fresh`` lists the untouched agents as ``(state, count)``
+        pairs in ascending state order.
         """
         u, f = used, untouched
         uu = u * (u - 1)
         uf = u * f
         x = self._randbelow(uu + 2 * uf)
+        post = sorted(upost.items())
         if x < uu:
-            a = self._draw_state(upost, u)
-            upost[a] -= 1
-            b = self._draw_state(upost, u - 1)
-            upost[a] += 1
+            a = self._draw_state(post, u)
+            b = self._draw_state(
+                [(s, c - 1 if s == a else c) for s, c in post], u - 1
+            )
         elif x < uu + uf:
-            a = self._draw_state(upost, u)
+            a = self._draw_state(post, u)
             b = self._draw_state(fresh, f)
         else:
             a = self._draw_state(fresh, f)
-            b = self._draw_state(upost, u)
+            b = self._draw_state(post, u)
         return a, b
 
 
 class _PureSampler(_SamplerBase):
     """Stdlib-only batch sampler: the ``2l`` batch agents are drawn
     sequentially without replacement, pair by pair.  Same law as the
-    numpy path, linear in ``l·|support|`` instead of vectorised."""
+    numpy path, linear in ``l·|support|``."""
 
     backend = "pure"
 
-    def sample_pairs(self, cnt, length: int):
-        """Returns ``(pairs, fresh)``: ``pairs`` maps the encoded ordered
-        state pair ``a*S + b`` to its interaction count; ``fresh`` is the
-        count vector of agents not touched by the batch."""
+    def sample_pairs(self, occ, colors, length: int):
+        """One batch over the occupied states ``occ`` (ascending ids) with
+        counts ``colors``.  Returns ``(pairs, fresh)``: ``pairs`` lists
+        each encoded ordered state pair ``a*S + b`` with its interaction
+        count, in order of first occurrence; ``fresh[j]`` counts the
+        agents of state ``occ[j]`` the batch did not touch.  ``colors``
+        is consumed: it becomes ``fresh``."""
         S = self.S
-        avail = list(cnt)
         rem = self.m
         pairs: Dict[int, int] = {}
-        support = [s for s in range(S) if avail[s]]
         rng_random = self.rng.random
         randrange = self.rng.randrange
         float_safe = _FLOAT_SAFE_TOTAL
@@ -369,15 +395,15 @@ class _PureSampler(_SamplerBase):
                 else:
                     x = randrange(rem)
                 acc = 0
-                for s in support:
-                    acc += avail[s]
+                for j, c in enumerate(colors):
+                    acc += c
                     if acc > x:
                         break
-                avail[s] -= 1
+                colors[j] -= 1
                 rem -= 1
-                code = code * S + s
+                code = code * S + occ[j]
             pairs[code] = pairs.get(code, 0) + 1
-        return list(pairs.items()), avail
+        return list(pairs.items()), colors
 
     def split(self, k: int, ncands: int):
         """Uniform multinomial split of ``k`` tied interactions over
@@ -396,7 +422,8 @@ class _NumpySampler(_SamplerBase):
     ``R ~ MVH(C - I, l)`` are nested multivariate hypergeometrics over
     the *occupied* states; pairing the two sides is a uniform random
     matching, realised by permuting the responder sequence once and
-    bucketing the encoded ``(initiator, responder)`` codes.
+    counting the ``(initiator, responder)`` pairs of local ids — the
+    positions in ``occ`` — over ``|support|²`` codes.
     """
 
     backend = "numpy"
@@ -407,68 +434,33 @@ class _NumpySampler(_SamplerBase):
         # run a pure function of (seed, backend).
         self.np_rng = _np.random.default_rng(rng.getrandbits(64))
 
-    def sample_pairs(self, cnt, length: int):
+    def sample_pairs(self, occ, colors, length: int):
+        """Same contract as :meth:`_PureSampler.sample_pairs`, with the
+        pairs in ascending code order.  ``occ`` is ascending, so local
+        ids order and permute exactly as global ids would."""
         np_rng = self.np_rng
-        colors_full = _np.asarray(cnt, dtype=_np.int64)
-        occ = _np.nonzero(colors_full)[0]
-        colors = colors_full[occ]
+        k = len(occ)
+        colors = _np.array(colors, dtype=_np.int64)
         initiators = np_rng.multivariate_hypergeometric(colors, length)
         responders = np_rng.multivariate_hypergeometric(
             colors - initiators, length
         )
-        init_seq = _np.repeat(occ, initiators)
-        resp_seq = np_rng.permutation(_np.repeat(occ, responders))
-        codes = init_seq * self.S + resp_seq
-        uniq, counts = _np.unique(codes, return_counts=True)
-        fresh = [0] * self.S
-        fresh_occ = (colors - initiators - responders).tolist()
-        for pos, s in enumerate(occ.tolist()):
-            fresh[s] = fresh_occ[pos]
-        return list(zip(uniq.tolist(), counts.tolist())), fresh
+        local = _np.arange(k)
+        init_seq = _np.repeat(local, initiators)
+        resp_seq = np_rng.permutation(_np.repeat(local, responders))
+        counts = _np.bincount(init_seq * k + resp_seq)
+        codes = _np.flatnonzero(counts)
+        S = self.S
+        pairs = [
+            (occ[c // k] * S + occ[c % k], n)
+            for c, n in zip(codes.tolist(), counts[codes].tolist())
+        ]
+        return pairs, (colors - initiators - responders).tolist()
 
     def split(self, k: int, ncands: int):
         return self.np_rng.multinomial(
             k, [1.0 / ncands] * ncands
         ).tolist()
-
-
-# ----------------------------------------------------------------------
-# Vectorised batch application (numpy backend, unobserved runs)
-# ----------------------------------------------------------------------
-class _VecTables:
-    """Per-run dense tables turning a batch's ``(code, count)`` chunks
-    into array arithmetic: row ``i`` of ``deltas``/``upost`` holds the
-    net configuration deltas and post-state increments of *candidate 0*
-    of uniform key ``i``.  Only single-candidate keys (or any key under
-    ``tie_break="first"``) take this path; multi-candidate keys and
-    transitionless pairs fall back to the scalar loop, as do observed
-    runs (event emission is per chunk anyway)."""
-
-    def __init__(self, table, tie_first: bool):
-        S = len(table.states)
-        keys = table.uniform.keys
-        nk = len(keys)
-        self.code2key = _np.full(S * S, -1, dtype=_np.int64)
-        self.ncand = _np.zeros(nk, dtype=_np.int64)
-        self.deltas = _np.zeros((nk, S), dtype=_np.int64)
-        self.upost = _np.zeros((nk, S), dtype=_np.int64)
-        self.changes = _np.zeros(nk, dtype=_np.int64)
-        self.accept_delta = _np.zeros(nk, dtype=_np.int64)
-        for i, (a, b, _off, _mult, cands) in enumerate(keys):
-            self.code2key[a * S + b] = i
-            self.ncand[i] = 1 if tie_first else len(cands)
-            _q, _r, q2, r2, ch, ad, deltas, _t = cands[0]
-            self.upost[i, q2] += 1
-            self.upost[i, r2] += 1
-            for s, d in deltas:
-                self.deltas[i, s] = d
-            self.changes[i] = 1 if ch else 0
-            self.accept_delta[i] = ad
-
-
-#: Above this ``keys × states`` product the dense vectorised tables cost
-#: more memory than they are worth; the scalar chunk loop handles it.
-_VEC_TABLE_LIMIT = 8_000_000
 
 
 # ----------------------------------------------------------------------
@@ -539,32 +531,16 @@ def run_batched_simulation(
     cnt = dense.cnt
     accepting = table.accepting
     tie_first = scheduler.tie_break == "first"
-
-    # Ordered-pair candidate map over the *uniform* mode table (it keys
-    # every matched pair, no-ops included — exactly a batch's universe).
-    pair_cands: Dict[int, tuple] = {}
-    for a, b, _off, _mult, cands in table.uniform.keys:
-        pair_cands[a * S + b] = cands
-    # Exact silence predicate: silent iff no configuration-changing key
-    # has positive ordered-pair weight.  Two equivalent ways to decide
-    # that, picked per check by whichever scans less: all changing keys
-    # (early-exits fast on dense configurations), or all ordered pairs of
-    # *occupied* states against a code set (fast when few states are
-    # occupied — e.g. small populations under a protocol with hundreds of
-    # thousands of transitions, where the key scan is ruinous per batch).
-    changing_keys = [
-        (key[0], key[1], key[2])
-        for key, ch in zip(table.enabled.keys, table.enabled.changing)
-        if ch
-    ]
-    changing_codes = frozenset(a * S + b for a, b, _off in changing_keys)
+    # The *uniform* mode table keys every matched ordered pair, no-ops
+    # included — exactly a batch's universe — and its pair map resolves
+    # the pair ``(a, b)`` at ``a·S + b``: nothing here is built per call.
+    ukeys = table.uniform.keys
+    upair = table.uniform.pair
+    uchanging = table.uniform.changing
 
     use_numpy = numpy_available() and population <= (1 << 62)
     sampler_cls = _NumpySampler if use_numpy else _PureSampler
     sampler = sampler_cls(rng, S, population)
-    vec = None
-    if use_numpy and len(table.uniform.keys) * S <= _VEC_TABLE_LIMIT:
-        vec = _VecTables(table, tie_first)
 
     if obs is not None:
         for recorder in _per_interaction_recorders(obs):
@@ -646,25 +622,20 @@ def run_batched_simulation(
             if obs is not None:
                 obs.on_output_flip(step, out, LAYER_PROTOCOL)
 
-    def silent_now():
-        # The key scan early-exits on the first enabled changing key —
-        # usually instant on dense configurations — so the exhaustive
-        # occupied-pair scan must be *much* smaller to be worth it.
-        occupied = [s for s in range(S) if cnt[s]]
-        occ_sq = len(occupied) * len(occupied)
-        if occ_sq <= 4096 or occ_sq * 16 <= len(changing_keys):
-            for a in occupied:
-                solo = cnt[a] < 2
-                base = a * S
-                for b in occupied:
-                    if a == b and solo:
-                        continue
-                    if base + b in changing_codes:
-                        return False
-            return True
-        for a, b, off in changing_keys:
-            if cnt[a] * (cnt[b] - off) > 0:
-                return False
+    def silent_now(occ):
+        # Exact: silent iff no ordered pair of occupied states (a state
+        # with itself only when it holds two agents) has a
+        # configuration-changing key.  O(|support|²) lookups, first hit
+        # exits.
+        for a in occ:
+            solo = cnt[a] < 2
+            base = a * S
+            for b in occ:
+                if a == b and solo:
+                    continue
+                i = upair[base + b]
+                if i >= 0 and uchanging[i]:
+                    return False
         return True
 
     while interactions < max_interactions:
@@ -702,7 +673,8 @@ def run_batched_simulation(
                 obs.on_batch(interactions, kind="null_skip", count=span)
             break
 
-        if silent_now():
+        occ = dense.occupied()
+        if silent_now(occ):
             if inj is not None and inj.next_at <= max_interactions:
                 # Silent *for now*: a pending join/leave may re-enable
                 # transitions, so silence is only final once the plan
@@ -732,100 +704,59 @@ def run_batched_simulation(
         collide = length < remaining
         if not collide:
             length = remaining
-        pairs, fresh = sampler.sample_pairs(cnt, length)
+        pairs, fresh = sampler.sample_pairs(
+            occ, [cnt[s] for s in occ], length
+        )
         end_step = interactions + length
 
-        delta_acc = [0] * S
-        upost = [0] * S
+        # Sparse over the states the batch touches: net count deltas, and
+        # the post-batch states of the agents it used.
+        delta_acc: Dict[int, int] = {}
+        upost: Dict[int, int] = {}
         nulls = 0
         batch_productive = 0
         accept_acc = 0
-
-        if vec is not None and obs is None:
-            codes = _np.fromiter(
-                (code for code, _k in pairs), dtype=_np.int64, count=len(pairs)
-            )
-            counts = _np.fromiter(
-                (k for _code, k in pairs), dtype=_np.int64, count=len(pairs)
-            )
-            kidx = vec.code2key[codes]
-            matched = kidx >= 0
-            if not matched.all():
-                null_codes = codes[~matched]
-                null_counts = counts[~matched]
-                nulls = int(null_counts.sum())
-                upost_arr = _np.zeros(S, dtype=_np.int64)
-                _np.add.at(upost_arr, null_codes // S, null_counts)
-                _np.add.at(upost_arr, null_codes % S, null_counts)
-                upost = upost_arr.tolist()
-            single = matched & (vec.ncand[_np.where(matched, kidx, 0)] == 1)
-            rows = kidx[single]
-            if rows.size:
-                kc = counts[single]
-                delta_acc = (vec.deltas[rows] * kc[:, None]).sum(axis=0).tolist()
-                upost_vec = (vec.upost[rows] * kc[:, None]).sum(axis=0).tolist()
-                upost = [u + v for u, v in zip(upost, upost_vec)]
-                batch_productive = int(vec.changes[rows] @ kc)
-                accept_acc = int(vec.accept_delta[rows] @ kc)
-            multi = matched & ~single
-            if multi.any():
-                for code, k in zip(
-                    codes[multi].tolist(), counts[multi].tolist()
-                ):
-                    cands = pair_cands[code]
-                    for cand, kc in zip(cands, sampler.split(k, len(cands))):
-                        if not kc:
-                            continue
-                        _q, _r, q2, r2, ch, ad, cdeltas, _t = cand
-                        upost[q2] += kc
-                        upost[r2] += kc
-                        for s, d in cdeltas:
-                            delta_acc[s] += d * kc
-                        if ch:
-                            batch_productive += kc
-                        accept_acc += ad * kc
-        else:
-            for code, k in pairs:
-                cands = pair_cands.get(code)
-                if cands is None:
-                    # Null interactions: no transition, but the agents
-                    # are still consumed by the batch.
-                    a, b = divmod(code, S)
-                    upost[a] += k
-                    upost[b] += k
-                    nulls += k
+        for code, k in pairs:
+            i = upair[code]
+            if i < 0:
+                # Null interactions: no transition, but the agents are
+                # still consumed by the batch.
+                a, b = divmod(code, S)
+                upost[a] = upost.get(a, 0) + k
+                upost[b] = upost.get(b, 0) + k
+                nulls += k
+                continue
+            cands = ukeys[i][4]
+            if len(cands) == 1 or tie_first:
+                chunks = ((cands[0], k),)
+            else:
+                chunks = zip(cands, sampler.split(k, len(cands)))
+            for cand, kc in chunks:
+                if not kc:
                     continue
-                if len(cands) == 1 or tie_first:
-                    chunks = ((cands[0], k),)
-                else:
-                    chunks = zip(cands, sampler.split(k, len(cands)))
-                for cand, kc in chunks:
-                    if not kc:
-                        continue
-                    _q, _r, q2, r2, ch, ad, cdeltas, t = cand
-                    upost[q2] += kc
-                    upost[r2] += kc
-                    for s, d in cdeltas:
-                        delta_acc[s] += d * kc
-                    if ch:
-                        batch_productive += kc
-                    accept_acc += ad * kc
-                    if obs is not None:
-                        obs.on_batch(
-                            end_step,
-                            kind="multinomial",
-                            count=kc,
-                            transition=t,
-                            productive=kc if ch else 0,
-                        )
-            if nulls and obs is not None:
-                obs.on_batch(
-                    end_step, kind="multinomial", count=nulls, transition=None
-                )
+                _q, _r, q2, r2, ch, ad, cdeltas, t = cand
+                upost[q2] = upost.get(q2, 0) + kc
+                upost[r2] = upost.get(r2, 0) + kc
+                for s, d in cdeltas:
+                    delta_acc[s] = delta_acc.get(s, 0) + d * kc
+                if ch:
+                    batch_productive += kc
+                accept_acc += ad * kc
+                if obs is not None:
+                    obs.on_batch(
+                        end_step,
+                        kind="multinomial",
+                        count=kc,
+                        transition=t,
+                        productive=kc if ch else 0,
+                    )
+        if nulls and obs is not None:
+            obs.on_batch(
+                end_step, kind="multinomial", count=nulls, transition=None
+            )
 
-        dense.apply_sid_deltas(
-            [(s, d) for s, d in enumerate(delta_acc) if d]
-        )
+        # Ascending state ids: watchers fire in a fixed order.
+        dense.apply_sid_deltas(sorted(delta_acc.items()))
         interactions = end_step
         productive += batch_productive
         accept += accept_acc
@@ -844,13 +775,14 @@ def run_batched_simulation(
             interactions += 1
             collisions += 1
             a, b = sampler.sample_collision(
-                upost, fresh, 2 * length, m - 2 * length
+                upost, list(zip(occ, fresh)), 2 * length, m - 2 * length
             )
-            cands = pair_cands.get(a * S + b)
-            if cands is None:
+            i = upair[a * S + b]
+            if i < 0:
                 if obs is not None:
                     obs.on_batch(interactions, kind="collision", count=1)
             else:
+                cands = ukeys[i][4]
                 if len(cands) == 1 or tie_first:
                     cand = cands[0]
                 else:
@@ -874,7 +806,7 @@ def run_batched_simulation(
                 if productive >= conv_at:
                     return finish(out, False)
 
-    silent = silent_now()
+    silent = silent_now(dense.occupied())
     if obs is not None:
         obs.on_silence_check(interactions, silent)
     return finish(out if silent else None, silent)

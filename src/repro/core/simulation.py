@@ -106,10 +106,13 @@ def resolve_deadline(deadline: float | None) -> float | None:
 #: crossover and batched above it.
 _ENGINES = ("auto", "legacy", "fast", "batched")
 
-#: Default population-size crossover for ``engine="auto"``.  BENCH shows
-#: the batched engine's per-batch setup makes it ~14× *slower* than the
-#: fastpath at n = 10³ (``batched.crossover.smalln_ratio``) while being
-#: ≥ 50× faster at n = 10⁶ — the crossover sits between; 50k keeps every
+#: Default population-size crossover for ``engine="auto"``.  Same-n
+#: throughput on Theorem 1's protocol at n=1, from the all-input
+#: configuration (min-of-3 on a 2-vCPU VM; 200k-interaction budgets, 4M
+#: for batched at n = 10⁶): the batched engine runs 0.29M/s against the
+#: fast uniform engine's 1.6M/s at n = 10³ (0.18×), 0.75M/s against
+#: 0.80M/s at n = 10⁴ (0.94×) and 6.9M/s against 0.34M/s at n = 10⁶
+#: (21×).  The engines cross near 10⁴ there; 50k keeps every
 #: interactive-scale run on the fastpath and every bulk run batched.
 AUTO_CROSSOVER_DEFAULT = 50_000
 

@@ -1,8 +1,10 @@
 """The batched multinomial engine: DenseConfig ≡ Multiset, engine
-selection plumbing, golden-seed pins per sampler backend, distributional
+selection plumbing, golden-seed and whole-run pins per sampler backend,
+the silence check against the reference predicate, distributional
 equivalence against the per-step uniform engine, verdict agreement, and
 batch-granularity observability."""
 
+import hashlib
 import pickle
 import random
 
@@ -24,6 +26,7 @@ from repro.core import (
     scheduler_for_engine,
     simulate,
 )
+from repro.core.semantics import is_silent
 from repro.core.simulation import (
     AUTO_CROSSOVER_DEFAULT,
     EnabledTransitionScheduler,
@@ -36,6 +39,7 @@ from repro.observability import (
     TraceRecorder,
 )
 from repro.observability import events as ev
+from repro.resilience import ChurnProcess, FaultPlan, JoinAgents, LeaveAgents
 
 from .test_fastpath import CHI2_CRIT_001, cascade_protocol, two_sample_chi2
 
@@ -300,6 +304,241 @@ class TestGoldenSeeds:
         ]
         assert runs[0].final.to_dict() == runs[1].final.to_dict()
         assert runs[0].productive == runs[1].productive
+
+
+# ----------------------------------------------------------------------
+# Whole-run pins: every field a run reports, per backend
+# ----------------------------------------------------------------------
+def run_digest(result) -> str:
+    """blake2b over interactions, productive, silent, verdict, population,
+    joined, departed, the output trace and the final configuration by
+    ``repr`` (which sorts its states)."""
+    fields = (
+        result.interactions,
+        result.productive,
+        result.silent,
+        result.verdict,
+        result.population,
+        result.joined,
+        result.departed,
+        list(result.output_trace),
+        repr(result.final),
+    )
+    return hashlib.blake2b(repr(fields).encode(), digest_size=8).hexdigest()
+
+
+def population_plan(seed: int, budget: int, state) -> FaultPlan:
+    """Joins and leaves of 20–60 agents every ``budget/20`` interactions
+    over a churn process spanning the budget: a plan the batched engine
+    runs natively, at batch barriers."""
+    rng = random.Random(seed)
+    period = budget // 20
+    faults = [
+        JoinAgents(at, agents=rng.randint(20, 60), state=state)
+        if j % 2 == 0
+        else LeaveAgents(at, agents=rng.randint(20, 60))
+        for j, at in enumerate(range(period, budget, period))
+    ]
+    faults.append(
+        ChurnProcess(
+            at=0, length=budget, join_rate=1e-5, leave_rate=1e-5, state=state
+        )
+    )
+    return FaultPlan(faults)
+
+
+#: ``(protocol, agents, seed, budget, window, variant)`` per pinned run.
+#: thr2 runs at fixed budgets from 50 to 10^8 agents, thr2 runs ended by
+#: the convergence window below (8, 10) and above (13) its threshold of
+#: 11, a population-only fault plan, an observed run, the ``"first"``
+#: tie-break, majority at 59,000 agents and Theorem 1's protocol at n=1.
+RUN_CASES = (
+    [
+        ("thr2", n, seed, budget, NO_CONVERGE, None)
+        for n, budget in (
+            (50, 5_000),
+            (2_000, 20_000),
+            (10**5, 100_000),
+            (10**6, 200_000),
+            (10**8, 200_000),
+        )
+        for seed in (0, 1, 2)
+    ]
+    + [
+        ("thr2", x, seed, 200_000, window, None)
+        for x, window in ((8, 20), (10, 300), (13, 300))
+        for seed in (0, 1, 2)
+    ]
+    + [("thr2", 10**5, seed, 200_000, NO_CONVERGE, "faults") for seed in (0, 1, 2)]
+    + [("thr2", 2_000, seed, 20_000, NO_CONVERGE, "profiled") for seed in (0, 1)]
+    + [("thr2", 50, seed, 20_000, NO_CONVERGE, "first") for seed in (0, 1)]
+    + [("majority", 59_000, seed, 200_000, NO_CONVERGE, None) for seed in (0, 1, 2)]
+    + [
+        ("lipton1", n, 0, budget, NO_CONVERGE, None)
+        for n, budget in ((10**3, 20_000), (10**6, 200_000))
+    ]
+)
+
+PROTOCOL_FIXTURES = {
+    "thr2": "thr2_pipeline",
+    "majority": "majority",
+    "lipton1": "lipton1_pipeline",
+}
+
+
+def case_id(case) -> str:
+    proto, agents, seed, budget, window, variant = case
+    parts = [proto, f"n{agents}", f"budget{budget}"]
+    if window != NO_CONVERGE:
+        parts.append(f"window{window}")
+    if variant:
+        parts.append(variant)
+    return "-".join(parts + [f"seed{seed}"])
+
+
+def run_case(case, request):
+    proto, agents, seed, budget, window, variant = case
+    pp = request.getfixturevalue(PROTOCOL_FIXTURES[proto])
+    pp = getattr(pp, "protocol", pp)
+    if proto == "majority":
+        config = Multiset({"X": agents // 2 + 500, "Y": agents // 2 - 500})
+    else:
+        (init,) = pp.input_states
+        config = Multiset({init: agents})
+    kwargs = dict(
+        seed=seed,
+        engine="batched",
+        max_interactions=budget,
+        convergence_window=window,
+    )
+    if variant == "faults":
+        kwargs["faults"] = population_plan(seed, budget, init)
+    elif variant == "profiled":
+        kwargs["observer"] = ProfilingObserver()
+    elif variant == "first":
+        del kwargs["engine"]
+        kwargs["scheduler"] = BatchedScheduler(tie_break="first")
+    return simulate(pp, config, **kwargs)
+
+
+#: ``run_digest`` per case id: ``(numpy, pure)``.
+RUN_PINS = {
+    "thr2-n50-budget5000-seed0": ("0c309b33d2f890a0", "0cd4b6deb287a0df"),
+    "thr2-n50-budget5000-seed1": ("9462e1119be43e2f", "845b870ef40fee67"),
+    "thr2-n50-budget5000-seed2": ("8d931866fe58e155", "ffb228c5a1acec13"),
+    "thr2-n2000-budget20000-seed0": ("62374acc5989ef33", "403827a6c269f6cb"),
+    "thr2-n2000-budget20000-seed1": ("10e9bc84f3c594fd", "db3394cc3b8b02e4"),
+    "thr2-n2000-budget20000-seed2": ("f20ddddf32bd41fa", "efb7558c0f5f9b78"),
+    "thr2-n100000-budget100000-seed0": ("ffa05e8505c96328", "32f5cce228be6f88"),
+    "thr2-n100000-budget100000-seed1": ("c2c017971ea3f4b6", "cb793cd4651926e8"),
+    "thr2-n100000-budget100000-seed2": ("9f594c7780961c80", "94106104a66a35b4"),
+    "thr2-n1000000-budget200000-seed0": ("ef51d377ed86324b", "5eebc2b7a892817d"),
+    "thr2-n1000000-budget200000-seed1": ("0e727ba4b4298b87", "50a8d8579ecd61d5"),
+    "thr2-n1000000-budget200000-seed2": ("f782efadfb2d99db", "aeb66f4b126ac6ea"),
+    "thr2-n100000000-budget200000-seed0": ("40d661d170395e8b", "8696f4c58025edc1"),
+    "thr2-n100000000-budget200000-seed1": ("02abcdeb6dd26a78", "2c785bf6c0c98adb"),
+    "thr2-n100000000-budget200000-seed2": ("8a0b13db564fc360", "cb89ca0522eddfbb"),
+    "thr2-n8-budget200000-window20-seed0": ("0b8b13fd12735ba3", "fa62e5117781ac8c"),
+    "thr2-n8-budget200000-window20-seed1": ("8eff2a4485e21480", "fda70e9ba59b7564"),
+    "thr2-n8-budget200000-window20-seed2": ("2508d0a1b0d590fd", "73616e4c47bb9761"),
+    "thr2-n10-budget200000-window300-seed0": ("a87c1e82886cfb30", "77845bd3b573fd37"),
+    "thr2-n10-budget200000-window300-seed1": ("3c948d0fed91e65b", "741961eab4de00d7"),
+    "thr2-n10-budget200000-window300-seed2": ("dd117c9d7f4d391e", "b1da61136e4a857d"),
+    "thr2-n13-budget200000-window300-seed0": ("7057e126182085a9", "316f6b795b339ff6"),
+    "thr2-n13-budget200000-window300-seed1": ("6b19ec704697acbe", "b913ca74e8a9d812"),
+    "thr2-n13-budget200000-window300-seed2": ("961ec869328bc74a", "deab346743b8bbb0"),
+    "thr2-n100000-budget200000-faults-seed0": ("48d916e935f8f14d", "3c8d717650cde67d"),
+    "thr2-n100000-budget200000-faults-seed1": ("607a7be48ce8e84f", "6ec27d50817239aa"),
+    "thr2-n100000-budget200000-faults-seed2": ("90fa14c47d313ea5", "03600c0f9ea25e2f"),
+    "thr2-n2000-budget20000-profiled-seed0": ("62374acc5989ef33", "403827a6c269f6cb"),
+    "thr2-n2000-budget20000-profiled-seed1": ("10e9bc84f3c594fd", "db3394cc3b8b02e4"),
+    "thr2-n50-budget20000-first-seed0": ("b37989bbecb70f2c", "3ec11e92657408d0"),
+    "thr2-n50-budget20000-first-seed1": ("6d7408649c12ba81", "c1cc00e30fd47ad6"),
+    "majority-n59000-budget200000-seed0": ("56afab78abbfe131", "c50eec01da08980f"),
+    "majority-n59000-budget200000-seed1": ("6fca531a407d397f", "4e6be2afdd6aa49e"),
+    "majority-n59000-budget200000-seed2": ("31331721fc80a2cd", "305d2de6477a0a56"),
+    "lipton1-n1000-budget20000-seed0": ("2889af1ab9bcadcb", "34d9a860de090c30"),
+    "lipton1-n1000000-budget200000-seed0": ("e5e94670e5a9cab1", "03f9fc13f6aa2c13"),
+}
+
+
+class TestRunPins:
+    """Whole runs pinned per backend, from 8 agents to 10^8: the batch
+    sampler, chunk resolution, collision draws, silence checks, fault
+    barriers and output tracking must keep every seeded run
+    bit-identical."""
+
+    @both_backends
+    @pytest.mark.parametrize("case", RUN_CASES, ids=case_id)
+    def test_run_is_pinned(self, backend_env, case, request):
+        result = run_case(case, request)
+        expected = RUN_PINS[case_id(case)][backend_env == "pure"]
+        assert run_digest(result) == expected, (
+            result.interactions,
+            result.productive,
+            result.silent,
+            result.verdict,
+            result.population,
+        )
+
+
+class TestSilenceCheck:
+    """The batched engine's silence predicate equals the reference
+    :func:`repro.core.semantics.is_silent`.  With a budget of 0 the
+    engine runs only its final silence check, so ``.silent`` is the
+    predicate itself."""
+
+    @staticmethod
+    def configurations(pp, seed: int):
+        """Random small configurations (rarely silent), the final
+        configurations of silent runs, and each of those with one agent
+        added or removed (the boundary: a same-state pair needs two
+        agents)."""
+        rng = random.Random(seed)
+        states = sorted(pp.states, key=repr)
+        configs = []
+        for _ in range(150):
+            support = rng.sample(states, rng.randint(1, 5))
+            config = Multiset({s: rng.randint(1, 3) for s in support})
+            if config.size >= 2:
+                configs.append(config)
+        (init,) = pp.input_states
+        for agents in range(2, 12):
+            for run_seed in range(3):
+                result = simulate(
+                    pp,
+                    Multiset({init: agents}),
+                    seed=run_seed,
+                    engine="fast",
+                    max_interactions=20_000,
+                    convergence_window=NO_CONVERGE,
+                )
+                if not result.silent:
+                    continue
+                final = Multiset(result.final.to_dict())
+                configs.append(final)
+                grown = final.copy()
+                grown.inc(rng.choice(states))
+                configs.append(grown)
+                if final.size > 2:
+                    shrunk = final.copy()
+                    shrunk.dec(rng.choice(sorted(final.support(), key=repr)))
+                    configs.append(shrunk)
+        return configs
+
+    @pytest.mark.parametrize("proto", ["thr2_pipeline", "binary6"])
+    def test_silence_check_matches_reference(self, proto, request):
+        pp = request.getfixturevalue(proto)
+        pp = getattr(pp, "protocol", pp)
+        outcomes = set()
+        for config in self.configurations(pp, seed=17):
+            expected = is_silent(pp, config)
+            result = simulate(
+                pp, config, seed=0, engine="batched", max_interactions=0
+            )
+            assert result.silent == expected, repr(config)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,11 @@
 
 A pairwise interaction can never create or destroy agents, so every
 candidate record in a compiled :class:`~repro.core.fastpath.TransitionTable`
-must have net deltas summing to zero, its accept delta bounded by the two
-participants, and — on the numpy path — identical row sums in the
-vectorised ``_VecTables`` mirror the batched engine applies.  PROT007 in
-the static checker fronts the same invariant; these tests pin it at the
-engine level across the baselines, the examples pipeline, and random
-protocols.
+must have net deltas summing to zero and its accept delta bounded by the
+two participants.  PROT007 in the static checker fronts the same
+invariant; these tests pin it at the engine level across the baselines,
+the examples pipeline, and random protocols.
 """
-
-import pytest
 
 from repro.core.fastpath import get_table
 from repro.core.protocol import PopulationProtocol
@@ -53,24 +49,6 @@ def test_baseline_tables_conserve(majority, unary5, binary6, remainder3):
 
 def test_compiled_pipeline_table_conserves(thr2_pipeline):
     assert_table_conserves(thr2_pipeline.protocol)
-
-
-def test_vectorised_tables_match_candidate_deltas(majority):
-    """The batched engine's dense delta rows must agree with the scalar
-    candidate records they were built from — row sums zero, accept deltas
-    equal."""
-    batched = pytest.importorskip("repro.core.batched")
-    if not batched.numpy_available():
-        pytest.skip("numpy unavailable or disabled via REPRO_NO_NUMPY")
-    table = get_table(majority)
-    vec = batched._VecTables(table, tie_first=True)
-    np = batched._numpy()
-    assert int(np.abs(vec.deltas.sum(axis=1)).max(initial=0)) == 0
-    for i, key in enumerate(table.uniform.keys):
-        cand = key[4][0]
-        assert int(vec.accept_delta[i]) == cand[5]
-        # upost rows add exactly the two post-agents.
-        assert int(vec.upost[i].sum()) == 2
 
 
 if HAVE_HYPOTHESIS:
