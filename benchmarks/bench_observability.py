@@ -76,8 +76,8 @@ def test_prometheus_render_throughput(benchmark, bench_metrics):
 
 
 def test_span_adoption_throughput(benchmark, bench_metrics):
-    """Adopting a 100-span worker payload, as decide_parallel does once
-    per attempt."""
+    """Adopting a 100-span worker payload, as ``decide`` does once per
+    attempt that ran in a pool or cluster worker."""
     worker = SpanTracer()
     with worker.span("attempt:0"):
         for i in range(99):

@@ -15,6 +15,7 @@ based on two signals:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import random
@@ -34,7 +35,7 @@ from repro.core.protocol import PopulationProtocol
 from repro.core.scheduler import EnabledTransitionScheduler, UniformPairScheduler
 from repro.core.semantics import apply_transition_inplace, is_silent
 from repro.observability.events import LAYER_PROTOCOL
-from repro.observability.observer import Observer, live
+from repro.observability.observer import NULL_OBSERVER, Observer, live
 from repro.observability import spans as _spans
 
 
@@ -517,6 +518,7 @@ def decide(
     jobs: int | str | None = None,
     deadline: float | None = None,
     timeout: float | None = None,
+    stats: dict | None = None,
     **kwargs,
 ) -> bool:
     """Run :func:`simulate` until a verdict is reached, retrying with fresh
@@ -530,19 +532,19 @@ def decide(
     runs sample identically), which makes the compile/cache cost a visible
     child span instead of latency silently folded into the first attempt.
     """
+    call = dict(
+        seed=seed,
+        attempts=attempts,
+        observer=observer,
+        jobs=jobs,
+        deadline=deadline,
+        timeout=timeout,
+        stats=stats,
+        **kwargs,
+    )
     tracer = _spans.current()
     if tracer is None:
-        return _decide(
-            protocol,
-            config,
-            seed=seed,
-            attempts=attempts,
-            observer=observer,
-            jobs=jobs,
-            deadline=deadline,
-            timeout=timeout,
-            **kwargs,
-        )
+        return _decide(protocol, config, **call)
     with tracer.span(
         "decide",
         protocol=protocol.name,
@@ -558,127 +560,139 @@ def decide(
             from repro.runtime.cache import cached_transition_table
 
             cached_transition_table(protocol)
-        return _decide(
-            protocol,
-            config,
-            seed=seed,
-            attempts=attempts,
-            observer=observer,
-            jobs=jobs,
-            deadline=deadline,
-            timeout=timeout,
-            **kwargs,
-        )
+        return _decide(protocol, config, **call)
 
 
 def _decide(
     protocol: PopulationProtocol,
     config: Multiset,
     *,
-    seed: int | None = None,
-    attempts: int = 3,
-    observer: Observer | None = None,
-    jobs: int | str | None = None,
-    deadline: float | None = None,
-    timeout: float | None = None,
+    seed: int | None,
+    attempts: int,
+    observer: Observer | None,
+    jobs: int | str | None,
+    deadline: float | None,
+    timeout: float | None,
+    stats: dict | None,
     **kwargs,
 ) -> bool:
     """Run :func:`simulate` until a verdict is reached, retrying with fresh
     seeds up to ``attempts`` times.  Raises :class:`NonConvergenceError` if
     no attempt stabilises.
 
-    ``jobs`` fans the attempts out across a process pool (see
-    :mod:`repro.runtime`): per-attempt seeds are unchanged and the verdict
-    is the lowest-indexed stabilising attempt's, so the result is
-    identical to sequential execution for every seed.  ``jobs=1`` (the
-    default) runs the sequential loop below, bit-identical to previous
-    behaviour; ``jobs=None`` defers to the ``REPRO_JOBS`` environment
-    variable.  A ``"host:port"`` string (argument or environment) shards
-    the attempts across the distributed cluster at that address instead
-    (:func:`repro.runtime.distributed.decide_distributed`) — same seeds,
-    same verdict.
+    Attempt ``i`` runs on seed ``derive_seed(base, i)``, on the executor
+    ``jobs`` names (:func:`repro.runtime.pool.resolve_dispatch`): ``1``
+    (or ``None`` with ``REPRO_JOBS`` unset) runs them one by one in this
+    process, ``N`` across a process pool, ``"host:port"`` across the TCP
+    cluster there.  The verdict is the lowest-indexed attempt's that has
+    one, so every executor returns the same verdict for a seed; once it
+    is in, the attempts not yet started are cancelled.
 
     ``deadline`` bounds the *whole* call in wall-clock seconds
     (``REPRO_DEADLINE`` supplies a default); ``timeout`` bounds each
-    attempt.  Hitting either raises :class:`NonConvergenceError` with a
-    "deadline exceeded" message — a time bound is a budget exhaustion,
-    not a verdict.
+    attempt, which runs for at most the smaller of the two wherever it
+    runs.  A time bound is a budget exhaustion, not a verdict: hitting
+    the deadline raises :class:`NonConvergenceError` with a "deadline
+    exceeded" message, and a timed-out attempt lets the next seed try.
+
+    ``stats``, when passed, receives ``launched`` / ``completed`` /
+    ``cancelled`` / ``failed`` counts of attempts (every launched one
+    lands in exactly one of the other three), ``retries`` (process-pool
+    rebuilds) and ``degraded`` (attempts a pool or cluster handed back to
+    this process).
     """
+    from repro.runtime import pool
+
     base = seed if seed is not None else random.Random().randrange(2**31)
     obs = live(observer)
-    from repro.runtime.pool import decide_parallel, resolve_dispatch
-
     deadline = resolve_deadline(deadline)
-    mode, target = resolve_dispatch(jobs)
-    if mode == "distributed" and attempts > 1:
-        from repro.runtime.distributed import decide_distributed
+    executor = pool.resolve_dispatch(jobs, attempts)
+    local = isinstance(executor, pool.InProcess)
+    seeds = [derive_seed(base, attempt) for attempt in range(attempts)]
+    attempt_fn = pool._decide_attempt_worker
+    if local:
+        # At home the attempt reports straight to the caller's observer.
+        attempt_fn = functools.partial(
+            attempt_fn, observer=obs if obs is not None else NULL_OBSERVER
+        )
+    else:
+        # Warm the compile caches before fan-out, so fork-started workers
+        # inherit the table instead of recompiling it per attempt.
+        from repro.runtime.cache import cached_transition_table
 
-        return decide_distributed(
-            protocol,
-            config,
-            base=base,
-            attempts=attempts,
-            addr=target,
-            observer=obs,
-            deadline=deadline,
-            timeout=timeout,
-            **kwargs,
-        )
-    n_jobs = target if mode == "local" else 1
-    if n_jobs > 1 and attempts > 1:
-        return decide_parallel(
-            protocol,
-            config,
-            base=base,
-            attempts=attempts,
-            jobs=n_jobs,
-            observer=obs,
-            deadline=deadline,
-            timeout=timeout,
-            **kwargs,
-        )
-    deadline_at = time.monotonic() + deadline if deadline is not None else None
-    timed_out = 0
-    for attempt in range(attempts):
-        budget = timeout
-        if deadline_at is not None:
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                raise NonConvergenceError(
-                    f"protocol {protocol.name!r} did not stabilise on "
-                    f"|C|={config.size}: wall-clock deadline of {deadline:g}s "
-                    f"exceeded after {attempt} of {attempts} attempts"
-                )
-            budget = remaining if budget is None else min(budget, remaining)
-        attempt_seed = derive_seed(base, attempt)
-        if obs is not None:
-            obs.on_attempt(attempt, attempt_seed)
-        with _spans.span(f"attempt:{attempt}", seed=attempt_seed):
-            result = simulate(
-                protocol,
-                config,
-                seed=attempt_seed,
-                observer=obs,
-                deadline=budget,
-                **kwargs,
-            )
-        if result.verdict is not None:
-            return result.verdict
-        if result.deadline_exceeded:
-            timed_out += 1
-            # A per-attempt timeout lets the next attempt (fresh seed)
-            # try again; the overall deadline does not.
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                raise NonConvergenceError(
-                    f"protocol {protocol.name!r} did not stabilise on "
-                    f"|C|={config.size}: wall-clock deadline exceeded during "
-                    f"attempt {attempt + 1} of {attempts}"
-                )
-    detail = f", {timed_out} timed out" if timed_out else ""
-    raise NonConvergenceError(
-        f"protocol {protocol.name!r} did not stabilise on |C|={config.size} "
-        f"within the budget ({attempts} attempts{detail})"
+        cached_transition_table(protocol)
+    until = time.time() + deadline if deadline is not None else None
+    records = executor.run(
+        attempt_fn,
+        [(protocol, config, seeds[a], kwargs, a, timeout, until) for a in range(attempts)],
+        paths=[("decide", base, a) for a in range(attempts)],
+        labels=[f"attempt:{a}" for a in range(attempts)],
+        early_stop=pool.decide_settled,
+        deadline=deadline,
+        lease_timeout=timeout,
     )
+
+    # One walk in attempt order.  Up to the attempt that decides the call
+    # (the sequential prefix) each attempt counts as it would at jobs=1;
+    # later ones only merge the metrics of work that really happened.
+    where = f"protocol {protocol.name!r} did not stabilise on |C|={config.size}"
+    outcome: bool | BaseException | None = None
+    completed = cancelled = failed = timed_out = 0
+    for record in records:
+        a = record.index
+        if record.state != pool.DONE:
+            cancelled += 1
+            if outcome is None:  # only the deadline stops a call this early
+                outcome = NonConvergenceError(
+                    f"{where}: wall-clock deadline of {deadline:g}s exceeded "
+                    f"after {a} of {attempts} attempts"
+                )
+            continue
+        if "error" in record.envelope:
+            failed += 1
+            if outcome is None:
+                outcome = pool.task_error(record.envelope)
+            continue
+        completed += 1
+        payload = record.envelope["result"]
+        shipped = "metrics" in payload  # ran away from the caller's observer
+        if shipped:
+            pool.merge_worker_metrics(obs, payload["metrics"])
+        if outcome is not None:
+            continue
+        if shipped:
+            if obs is not None:
+                obs.on_attempt(a, seeds[a])
+            _spans.adopt(payload["spans"])
+        if payload["verdict"] is not None:
+            outcome = payload["verdict"]
+        elif payload["deadline_exceeded"]:
+            timed_out += 1
+            if payload["past_deadline"]:
+                outcome = NonConvergenceError(
+                    f"{where}: wall-clock deadline exceeded during attempt "
+                    f"{a + 1} of {attempts}"
+                )
+    if not local:
+        pool.merge_worker_metrics(obs, executor.metrics.to_dict())
+        pool.record_cache_gauges(obs)
+    if stats is not None:
+        stats.update(
+            launched=attempts,
+            completed=completed,
+            cancelled=cancelled,
+            failed=failed,
+            retries=executor.metrics.counter("pool.retries").value,
+            degraded=0 if local else sum(r.source == "local" for r in records),
+        )
+    if outcome is None:
+        detail = f", {timed_out} timed out" if timed_out else ""
+        raise NonConvergenceError(
+            f"{where} within the budget ({attempts} attempts{detail})"
+        )
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
 
 
 def uniform_scheduler() -> UniformPairScheduler:

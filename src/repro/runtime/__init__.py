@@ -15,27 +15,31 @@ reproducibility:
   (program → machine → protocol) and per-protocol
   :class:`~repro.core.fastpath.TransitionTable` compilations, so workers
   never redo a compilation the parent (or a previous run) already did;
-* :mod:`repro.runtime.pool` — the process-pool engine:
-  :func:`~repro.runtime.pool.parallel_map` for deterministic fan-out,
-  :func:`~repro.runtime.pool.decide_parallel` with first-verdict early
-  cancellation, and per-worker :class:`~repro.observability.metrics.Metrics`
-  aggregation back into the parent registry;
-* :mod:`repro.runtime.distributed` — the multi-host extension of the
-  same contract: a TCP work-stealing coordinator
-  (:func:`~repro.runtime.distributed.distributed_map` /
-  :func:`~repro.runtime.distributed.decide_distributed`), workers
-  (``python -m repro worker``), heartbeats/leases/re-dispatch, and
-  graceful degradation back to the in-process pool;
+* :mod:`repro.runtime.pool` — the executors behind every fan-out: one
+  ``run`` method (:class:`~repro.runtime.pool.InProcess`,
+  :class:`~repro.runtime.pool.ProcessPool`, hardened against crashed and
+  hung workers), :func:`~repro.runtime.pool.resolve_dispatch` to pick
+  one, :func:`~repro.runtime.pool.parallel_map` for deterministic
+  fan-out on it, and per-worker
+  :class:`~repro.observability.metrics.Metrics` aggregation back into
+  the parent registry; :func:`repro.core.simulation.decide` runs its
+  attempts on the same executors;
+* :mod:`repro.runtime.distributed` — the TCP executor
+  (:class:`~repro.runtime.distributed.Cluster`): a work-stealing
+  coordinator, workers (``python -m repro worker``),
+  heartbeats/leases/re-dispatch, and graceful degradation to running
+  in-process;
 * :mod:`repro.runtime.ledger` — the resumable on-disk journal of
   completed ``(task_path, result)`` pairs, keyed by provenance
   fingerprint, that lets an interrupted grid restart without redoing
   finished work.
 
-``jobs`` semantics everywhere: ``jobs=1`` (the default) runs the exact
-sequential code path, bit-identical to the pre-parallel behaviour;
-``jobs=None`` consults the ``REPRO_JOBS`` environment variable (default
-1); ``jobs=0`` means "all cores"; a ``"host:port"`` string (argument or
-``REPRO_JOBS``) dispatches to the distributed cluster at that address.
+``jobs`` semantics everywhere: ``jobs=1`` (the default) runs the tasks
+in-process, one after another; ``jobs=None`` consults the ``REPRO_JOBS``
+environment variable (default 1); ``jobs=0`` means "all cores"; a
+``"host:port"`` string (argument or ``REPRO_JOBS``) dispatches to the
+distributed cluster at that address.  A single task runs in-process on
+every target.
 """
 
 from repro.runtime.cache import (
@@ -47,18 +51,11 @@ from repro.runtime.cache import (
     program_fingerprint,
     protocol_fingerprint,
 )
-from repro.runtime.distributed import (
-    Coordinator,
-    NoWorkersError,
-    decide_distributed,
-    distributed_map,
-    get_cluster,
-    run_worker,
-    spawn_loopback_worker,
-)
 from repro.runtime.ledger import TaskLedger, job_fingerprint, resolve_ledger, task_key
 from repro.runtime.pool import (
-    decide_parallel,
+    InProcess,
+    ProcessPool,
+    TaskRecord,
     merge_worker_metrics,
     parallel_map,
     resolve_dispatch,
@@ -78,14 +75,15 @@ __all__ = [
     "cached_compile_threshold_protocol",
     "cached_transition_table",
     "parallel_map",
-    "decide_parallel",
+    "InProcess",
+    "ProcessPool",
+    "TaskRecord",
     "merge_worker_metrics",
     "resolve_jobs",
     "resolve_dispatch",
     "Coordinator",
     "NoWorkersError",
-    "distributed_map",
-    "decide_distributed",
+    "Cluster",
     "get_cluster",
     "run_worker",
     "spawn_loopback_worker",
@@ -94,3 +92,22 @@ __all__ = [
     "job_fingerprint",
     "resolve_ledger",
 ]
+
+#: Names of the TCP executor, loaded on first use: a fan-out that never
+#: targets a cluster never imports :mod:`repro.runtime.distributed`.
+_DISTRIBUTED = {
+    "Cluster",
+    "Coordinator",
+    "NoWorkersError",
+    "get_cluster",
+    "run_worker",
+    "spawn_loopback_worker",
+}
+
+
+def __getattr__(name: str):
+    if name in _DISTRIBUTED:
+        from repro.runtime import distributed
+
+        return getattr(distributed, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

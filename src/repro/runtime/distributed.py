@@ -1,8 +1,7 @@
-"""Distributed sharded fan-out: a TCP coordinator/worker runtime.
+"""The TCP executor: a coordinator/worker runtime across hosts.
 
-:mod:`repro.runtime.pool` caps out at one host — and the bench box has
-``cpu_count=1``, so the process pool has nothing to scale onto.  This
-module extends the same execution contract across machines: a
+:mod:`repro.runtime.pool` defines the executor ``run`` that every
+fan-out calls; this module implements it across machines.  A
 *coordinator* (the driver process) shards independent tasks — Monte
 Carlo ``decide`` attempts, experiment-grid cells — over any number of
 *workers* connected over TCP, with work stealing, and the results are
@@ -13,7 +12,7 @@ depends on where or when it ran:
   :class:`~repro.runtime.seeds.SeedTree` paths, never by scheduling
   order — any worker can run any task, twice if need be, and produce the
   same bytes;
-* the coordinator assembles results in task order and adopts worker span
+* the caller reads the records in task order and adopts worker span
   payloads in task order, so distributed span trees structurally equal
   ``jobs=1`` trees (the same merge discipline as the process pool);
 * completed ``(task_path, result)`` pairs are journalled to a resumable
@@ -26,11 +25,13 @@ depends on where or when it ran:
 
 Wire protocol (stdlib only — ``socket`` + ``selectors``): length-prefixed
 pickle frames, magic + 4-byte big-endian length + payload.  Messages are
-plain dicts with a ``"type"`` key::
+plain dicts with a ``"type"`` key; a result frame carries the task's
+envelope (:func:`repro.runtime.pool.run_task`)::
 
     worker → coordinator   {"type": "hello", "pid", "host", "version"}
     coordinator → worker   {"type": "task", "id", "label", "trace", "fn", "args"}
-    worker → coordinator   {"type": "result", "id", "result" | "error", "spans"}
+    worker → coordinator   {"type": "result", "id", "result", "spans"}
+                           {"type": "result", "id", "error", "error_text"}
     worker → coordinator   {"type": "heartbeat", "task"}     (only while busy)
     coordinator → worker   {"type": "bye"}
 
@@ -42,13 +43,13 @@ verdict, degraded speed):
 
 1. a worker that disconnects or stops heartbeating mid-task has its
    leased tasks requeued and re-dispatched to surviving workers;
-2. a task leased longer than ``lease_timeout`` is re-dispatched to
-   another worker (first result wins; duplicates are dropped — results
-   are deterministic, so either copy is the right answer);
+2. a task leased longer than ``lease_timeout`` plus
+   :data:`~repro.runtime.pool.OVERRUN_GRACE` is re-dispatched to another
+   worker (first result wins; duplicates are dropped — results are
+   deterministic, so either copy is the right answer);
 3. when *no* workers remain (or none connect within ``connect_grace``),
-   remaining tasks run through the in-process pool — which itself
-   degrades to sequential — so the answer is always the ``jobs=1``
-   answer.
+   the remaining tasks run in-process — so the answer is always the
+   ``jobs=1`` answer.
 
 ``dist.*`` counters (dispatches, steals, requeues, lease expiries, lost
 workers, ledger hits, degradations) land on the cluster's own metrics
@@ -67,13 +68,25 @@ import subprocess
 import sys
 import threading
 import time
-import traceback
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.observability import spans as _spans
 from repro.observability.metrics import Metrics
-from repro.runtime.ledger import TaskLedger, resolve_ledger, task_key
+from repro.runtime.ledger import TaskLedger
+from repro.runtime.pool import (
+    CANCELLED,
+    DONE,
+    LEASED,
+    OVERRUN_GRACE,
+    PENDING,
+    InProcess,
+    TaskRecord,
+    make_records,
+    open_records,
+    run_task,
+    settle,
+)
 
 PROTOCOL_VERSION = 1
 
@@ -92,11 +105,6 @@ class ProtocolError(RuntimeError):
 class NoWorkersError(RuntimeError):
     """No workers connected within the grace period — callers degrade to
     the in-process pool."""
-
-
-class RemoteTaskError(RuntimeError):
-    """A task function raised inside a worker; carries the remote
-    traceback text (the exception itself is re-raised when picklable)."""
 
 
 # ----------------------------------------------------------------------
@@ -171,34 +179,6 @@ def format_address(host: str, port: int) -> str:
     return f"{host}:{port}"
 
 
-# ----------------------------------------------------------------------
-# Task records
-# ----------------------------------------------------------------------
-PENDING, LEASED, DONE, CANCELLED = "pending", "leased", "done", "cancelled"
-
-
-class TaskRecord:
-    """One unit of work and its lifecycle inside a coordinator run."""
-
-    __slots__ = (
-        "id", "index", "path", "key", "args", "label",
-        "state", "lease_start", "envelope", "source", "redispatched",
-    )
-
-    def __init__(self, id: int, index: int, path: Sequence[Any], args: Tuple, label: str):
-        self.id = id
-        self.index = index
-        self.path = tuple(path)
-        self.key = task_key(self.path)
-        self.args = args
-        self.label = label
-        self.state = PENDING
-        self.lease_start: Optional[float] = None
-        self.envelope: Optional[Dict[str, Any]] = None
-        self.source: Optional[str] = None  # "worker" | "local" | "ledger"
-        self.redispatched = 0
-
-
 class WorkerHandle:
     """Coordinator-side state of one connected worker."""
 
@@ -253,7 +233,6 @@ class Coordinator:
         self.host, self.port = self._listener.getsockname()[:2]
         self._io_lock = threading.Lock()  # run() vs idle poll() on the selector
         self._task_seq = 0  # globally unique ids: stale results never collide
-        self._records: Dict[int, TaskRecord] = {}
         self._requeued: deque = deque()
         self._sinks: List[Metrics] = []
         self._running = False
@@ -479,32 +458,21 @@ class Coordinator:
             elif kind == "heartbeat":
                 pass  # last_seen already refreshed by the read itself
             elif kind == "result":
+                # The answer frees its worker, even when it is a late one
+                # for a run that has already ended.
+                held = worker.current
+                if held is not None and held.id == message.get("id"):
+                    worker.current = None
                 results.append(message)
             # unknown kinds are ignored: forward compatibility
         return results
 
     # -- local (degraded) execution --------------------------------------
-    def _run_local(self, fn: Callable, record: TaskRecord, trace: bool) -> None:
-        from repro.runtime.pool import _traced_task  # late: avoid cycle
-
+    def _run_local(
+        self, fn: Callable, record: TaskRecord, trace: bool, ledger: Optional[TaskLedger]
+    ) -> None:
         self._count("dist.local_tasks")
-        try:
-            if trace:
-                record.envelope = _traced_task(fn, record.label, record.args)
-                record.envelope = {
-                    "result": record.envelope["result"],
-                    "spans": record.envelope["__spans__"],
-                }
-            else:
-                record.envelope = {"result": fn(*record.args), "spans": None}
-        except Exception as exc:  # the caller re-raises in task order
-            record.envelope = {
-                "error": exc,
-                "error_text": traceback.format_exc(),
-                "spans": None,
-            }
-        record.state = DONE
-        record.source = "local"
+        settle(record, run_task(fn, record.args, record.label, trace), "local", ledger)
 
     # -- the run loop -----------------------------------------------------
     def run(
@@ -519,40 +487,43 @@ class Coordinator:
         early_stop: Optional[Callable[[List[TaskRecord]], bool]] = None,
         deadline: Optional[float] = None,
         lease_timeout: Optional[float] = None,
-        connect_grace: Optional[float] = None,
     ) -> List[TaskRecord]:
-        """Execute ``fn(*task)`` for every task, sharded across workers.
+        """Execute ``fn(*task)`` for every task, sharded across workers —
+        the executor ``run`` of :mod:`repro.runtime.pool`.
 
-        Returns the records in task order; callers unwrap ``envelope``
-        (``{"result": ...}`` or ``{"error": ...}``) themselves so decide
-        and map semantics can differ.  ``early_stop(records)`` — checked
-        after every completion — cancels all not-yet-leased tasks when it
-        returns true (leased ones are drained; their results still count).
-        Raises :class:`NoWorkersError` before doing any work if no worker
-        is available, so the caller can fall back to the in-process pool.
+        ``early_stop(records)`` — checked after every completion —
+        cancels all not-yet-leased tasks when it returns true (leased ones
+        are drained; their results still count).  A task leased longer
+        than ``lease_timeout`` plus the grace is re-dispatched; tasks
+        unfinished at ``deadline`` plus the grace are cancelled.  Raises
+        :class:`NoWorkersError` before doing any work if no worker is
+        available, so the caller can fall back to running in-process.
         """
         if self._closed:
             raise NoWorkersError(f"coordinator {self.address} is closed")
         if self._running:
             raise NoWorkersError("re-entrant distributed run")  # caller falls back
-        lease = lease_timeout if lease_timeout is not None else self.lease_timeout
-        deadline_at = time.monotonic() + deadline if deadline is not None else None
-        records: List[TaskRecord] = []
-        for index, (task, path, label) in enumerate(zip(tasks, paths, labels)):
-            record = TaskRecord(self._task_seq, index, path, tuple(task), label)
-            self._task_seq += 1
-            records.append(record)
-        open_records = dict()
-        for record in records:
-            if ledger is not None and record.key in ledger:
-                record.state = DONE
-                record.source = "ledger"
-                record.envelope = {"result": ledger.get(record.key), "spans": None}
-                self._count("dist.ledger_hits")
-            else:
-                open_records[record.id] = record
-        if not open_records:
+        lease = OVERRUN_GRACE + (
+            lease_timeout if lease_timeout is not None else self.lease_timeout
+        )
+        give_up_at = (
+            time.monotonic() + deadline + OVERRUN_GRACE if deadline is not None else None
+        )
+        records = make_records(tasks, paths, labels, self._task_seq)
+        self._task_seq += len(records)
+        todo = open_records(records, ledger)
+        if len(todo) < len(records):
+            self._count("dist.ledger_hits", len(records) - len(todo))
+        if not todo:
             return records
+        open_ids = {record.id: record for record in todo}
+
+        def cancel(*states: str) -> None:
+            for r in todo:
+                if r.state in states:
+                    r.state = CANCELLED
+                    self._count("dist.cancelled")
+            self._requeued.clear()
 
         # Ambient metrics sinks for dist.* counters (tracer registry).
         tracer = _spans.current()
@@ -564,25 +535,21 @@ class Coordinator:
         self._io_lock.acquire()
         self._running = True
         try:
-            self._wait_for_workers(
-                connect_grace if connect_grace is not None else self.connect_grace
-            )
+            self._wait_for_workers(self.connect_grace)
             # Contiguous sharding over the workers present at launch;
             # late joiners start empty and steal.
             ready = [w for w in self.workers if w.ready]
-            pending = [r for r in open_records.values()]
-            shard = max(1, (len(pending) + len(ready) - 1) // len(ready))
+            shard = max(1, (len(todo) + len(ready) - 1) // len(ready))
             for i, worker in enumerate(ready):
-                worker.queue = deque(pending[i * shard : (i + 1) * shard])
+                worker.queue = deque(todo[i * shard : (i + 1) * shard])
             for worker in ready:
                 self._dispatch(worker, fn, trace)
 
             stopped = False
-            while any(r.state in (PENDING, LEASED) for r in open_records.values()):
-                if deadline_at is not None and time.monotonic() >= deadline_at:
-                    raise TimeoutError(
-                        f"distributed run exceeded its {deadline:g}s deadline"
-                    )
+            while any(r.state in (PENDING, LEASED) for r in todo):
+                if give_up_at is not None and time.monotonic() >= give_up_at:
+                    cancel(PENDING, LEASED)
+                    break
                 events = self._selector.select(timeout=0.1)
                 for key, _ in events:
                     if key.data is None:
@@ -590,30 +557,15 @@ class Coordinator:
                         continue
                     worker = key.data
                     for message in self._handle_frames(worker, self._read(worker)):
-                        record = open_records.get(message.get("id"))
+                        record = open_ids.get(message.get("id"))
                         if record is None or record.state == DONE:
                             self._count("dist.duplicates")  # re-dispatch race
-                            if record is not None and worker.current is record:
-                                worker.current = None
                             continue
-                        record.state = DONE
-                        record.source = "worker"
-                        record.envelope = message
-                        if worker.current is record:
-                            worker.current = None
+                        settle(record, message, "worker", ledger)
                         self._count("dist.completed")
-                        if (
-                            ledger is not None
-                            and "error" not in message
-                        ):
-                            ledger.record(record.key, message.get("result"))
                         if early_stop is not None and not stopped and early_stop(records):
                             stopped = True
-                            for r in open_records.values():
-                                if r.state == PENDING:
-                                    r.state = CANCELLED
-                                    self._count("dist.cancelled")
-                            self._requeued.clear()
+                            cancel(PENDING)
                 # Heartbeat staleness: a busy worker that has gone silent
                 # is presumed dead; its lease requeues above.
                 now = time.monotonic()
@@ -627,7 +579,7 @@ class Coordinator:
                 # Lease expiry: the worker is alive but the task has held
                 # its lease too long — re-offer it elsewhere; first result
                 # wins and the straggler's copy is dropped as a duplicate.
-                for record in open_records.values():
+                for record in todo:
                     if (
                         record.state == LEASED
                         and record.lease_start is not None
@@ -636,20 +588,15 @@ class Coordinator:
                     ):
                         record.redispatched += 1
                         record.lease_start = now
-                        clone = record
-                        clone.state = PENDING  # re-queue; holder may still answer
-                        self._requeued.append(clone)
+                        record.state = PENDING  # re-queue; holder may still answer
+                        self._requeued.append(record)
                         self._count("dist.lease_expired")
                 for worker in list(self.workers):
                     self._dispatch(worker, fn, trace)
                 # Everyone is gone: finish the job in-process (the same
                 # degradation ladder as the hardened pool, one rung up).
                 if not any(w.ready for w in self.workers):
-                    remaining = [
-                        r
-                        for r in sorted(open_records.values(), key=lambda r: r.index)
-                        if r.state in (PENDING, LEASED)
-                    ]
+                    remaining = [r for r in todo if r.state in (PENDING, LEASED)]
                     if remaining and not stopped:
                         self._count("dist.degraded")
                     for record in remaining:
@@ -659,17 +606,10 @@ class Coordinator:
                             record.state = CANCELLED
                             self._count("dist.cancelled")
                             continue
-                        self._run_local(fn, record, trace)
-                        if ledger is not None and record.envelope is not None and (
-                            "error" not in record.envelope
-                        ):
-                            ledger.record(record.key, record.envelope.get("result"))
+                        self._run_local(fn, record, trace, ledger)
                         if early_stop is not None and early_stop(records):
                             stopped = True
-                            for r in open_records.values():
-                                if r.state == PENDING:
-                                    r.state = CANCELLED
-                                    self._count("dist.cancelled")
+                            cancel(PENDING)
         finally:
             self._running = False
             self._io_lock.release()
@@ -719,273 +659,27 @@ def shutdown_clusters() -> None:
         _CLUSTERS.clear()
 
 
-# ----------------------------------------------------------------------
-# distributed_map — the network twin of parallel_map
-# ----------------------------------------------------------------------
-def distributed_map(
-    fn: Callable[..., Any],
-    tasks: Sequence[Sequence[Any]],
-    *,
-    addr: str,
-    span_labels: Optional[Sequence[str]] = None,
-    paths: Optional[Sequence[Sequence[Any]]] = None,
-    ledger: Optional[TaskLedger] = None,
-    lease_timeout: Optional[float] = None,
-    connect_grace: Optional[float] = None,
-    deadline: Optional[float] = None,
-) -> List[Any]:
-    """``[fn(*t) for t in tasks]`` sharded across the workers of the
-    cluster at ``addr`` — results in task order, identical to the
-    sequential comprehension.
+class Cluster:
+    """The TCP executor behind a ``"host:port"`` target: the process-wide
+    coordinator at ``addr`` runs the tasks; with no worker to run them the
+    in-process executor does, and ``dist.degraded`` counts the fallback."""
 
-    When a span tracer is active, every task runs under its own span in
-    its worker and the payloads are adopted in task order (the merged
-    tree structurally equals ``jobs=1``).  ``paths`` are the tasks'
-    deterministic seed-tree paths (default ``("task", i)``) — the ledger
-    key and the addressing unit for re-dispatch.  A ledger (explicit, or
-    via ``REPRO_LEDGER_DIR``) makes the run resumable: journalled tasks
-    are returned without re-execution.
+    def __init__(self, addr: str):
+        self.addr = addr
+        self.metrics = Metrics()
 
-    With no workers available the whole call degrades to the in-process
-    :func:`~repro.runtime.pool.parallel_map` (which itself degrades to
-    sequential) — same results, just slower.
-    """
-    tasks = [tuple(t) for t in tasks]
-    paths = (
-        [tuple(p) for p in paths]
-        if paths is not None
-        else [("task", i) for i in range(len(tasks))]
-    )
-    if len(paths) != len(tasks):
-        raise ValueError("paths must match tasks in length")
-    tracer = _spans.current()
-    labels = (
-        [str(l) for l in span_labels]
-        if span_labels is not None
-        else [f"task:{i}" for i in range(len(tasks))]
-    )
-    if len(labels) != len(tasks):
-        raise ValueError("span_labels must match tasks in length")
-    ledger = resolve_ledger(fn, paths, tasks, ledger=ledger)
-    coordinator = get_cluster(addr)
-    try:
-        records = coordinator.run(
-            fn,
-            tasks,
-            paths=paths,
-            labels=labels,
-            trace=tracer is not None,
-            ledger=ledger,
-            lease_timeout=lease_timeout,
-            connect_grace=connect_grace,
-            deadline=deadline,
-        )
-    except NoWorkersError:
-        coordinator.metrics.counter("dist.degraded").inc()
-        if tracer is not None and tracer.metrics is not None:
-            tracer.metrics.counter("dist.degraded").inc()
-        return _local_fallback(fn, tasks, paths, labels, ledger)
-    results: List[Any] = []
-    for record in records:
-        envelope = record.envelope or {}
-        if "error" in envelope:
-            error = envelope["error"]
-            if isinstance(error, BaseException):
-                raise error
-            raise RemoteTaskError(str(envelope.get("error_text") or error))
-        if tracer is not None:
-            tracer.adopt(envelope.get("spans"))
-        results.append(envelope.get("result"))
-    return results
-
-
-def _local_fallback(
-    fn: Callable[..., Any],
-    tasks: List[Tuple],
-    paths: List[Tuple],
-    labels: List[str],
-    ledger: Optional[TaskLedger],
-) -> List[Any]:
-    """No workers: run through the in-process pool, honouring the ledger
-    (journalled tasks are skipped; fresh completions are journalled)."""
-    from repro.runtime.pool import parallel_map
-
-    keys = [task_key(p) for p in paths]
-    todo = [i for i, k in enumerate(keys) if ledger is None or k not in ledger]
-    fresh: List[Any] = []
-    if todo:
-        if ledger is None:
-            fresh = parallel_map(
-                fn,
-                [tasks[i] for i in todo],
-                jobs=_fallback_jobs(),
-                span_labels=[labels[i] for i in todo],
-            )
-        else:
-            # Journal as we go (sequentially), so a crash mid-grid keeps
-            # every completed cell — the property the resume test pins.
+    def run(
+        self, fn: Callable[..., Any], tasks: Sequence[Tuple], **kwargs: Any
+    ) -> List[TaskRecord]:
+        coordinator = get_cluster(self.addr)
+        try:
+            return coordinator.run(fn, tasks, **kwargs)
+        except NoWorkersError:
+            coordinator.metrics.counter("dist.degraded").inc()
             tracer = _spans.current()
-            for i in todo:
-                if tracer is None:
-                    result = fn(*tasks[i])
-                else:
-                    with tracer.span(labels[i]):
-                        result = fn(*tasks[i])
-                ledger.record(keys[i], result)
-                fresh.append(result)
-    todo_set = set(todo)
-    fresh_iter = iter(fresh)
-    return [
-        next(fresh_iter) if i in todo_set else ledger.get(keys[i])
-        for i in range(len(tasks))
-    ]
-
-
-def _fallback_jobs() -> int:
-    """Pool width for the no-workers fallback (``REPRO_DIST_FALLBACK_JOBS``,
-    default 1 — the bit-identical sequential path)."""
-    raw = os.environ.get("REPRO_DIST_FALLBACK_JOBS", "").strip()
-    try:
-        return int(raw) if raw else 1
-    except ValueError:
-        return 1
-
-
-# ----------------------------------------------------------------------
-# decide over the cluster — the network twin of decide_parallel
-# ----------------------------------------------------------------------
-def decide_distributed(
-    protocol: Any,
-    config: Any,
-    *,
-    base: int,
-    attempts: int,
-    addr: str,
-    observer: Any = None,
-    stats: Optional[Dict[str, int]] = None,
-    deadline: Optional[float] = None,
-    timeout: Optional[float] = None,
-    **sim_kwargs: Any,
-) -> bool:
-    """All decide attempts sharded across the cluster; the verdict is the
-    lowest-indexed stabilising attempt's — the exact attempt sequential
-    execution would return, on the exact ``derive_seed(base, i)`` seeds —
-    so distributed, pooled and sequential calls agree for every seed.
-
-    Early stop: once the lowest-indexed verdict is in hand (every earlier
-    attempt completed without one), not-yet-leased attempts are
-    cancelled; already-running ones are drained and contribute metrics
-    (never spans — the span tree must equal ``jobs=1``).  ``timeout``
-    doubles as the per-attempt lease, ``deadline`` bounds the whole call.
-    With no workers the call degrades to the hardened in-process pool.
-    """
-    from repro.core.errors import NonConvergenceError
-    from repro.core.simulation import derive_seed
-    from repro.runtime.cache import artifact_cache, cached_transition_table
-    from repro.runtime.pool import (
-        _decide_attempt_worker,
-        _metrics_registries,
-        decide_parallel,
-        merge_worker_metrics,
-    )
-    from repro.observability.observer import live
-
-    obs = live(observer)
-    seeds = [derive_seed(base, attempt) for attempt in range(attempts)]
-    cached_transition_table(protocol)  # warm before fan-out (and publish to disk)
-    coordinator = get_cluster(addr)
-
-    def verdict_settled(records: List[TaskRecord]) -> bool:
-        for record in records:
-            if record.state != DONE:
-                return False
-            envelope = record.envelope or {}
-            if "error" in envelope:
-                return False
-            if (envelope.get("result") or {}).get("verdict") is not None:
-                return True
-        return False
-
-    try:
-        records = coordinator.run(
-            _decide_attempt_worker,
-            [(protocol, config, seeds[a], dict(sim_kwargs), a) for a in range(attempts)],
-            paths=[("decide", base, a) for a in range(attempts)],
-            labels=[f"attempt:{a}" for a in range(attempts)],
-            trace=False,  # the attempt worker ships its own span subtree
-            early_stop=verdict_settled,
-            deadline=deadline,
-            lease_timeout=timeout,
-        )
-    except NoWorkersError:
-        coordinator.metrics.counter("dist.degraded").inc()
-        return decide_parallel(
-            protocol,
-            config,
-            base=base,
-            attempts=attempts,
-            jobs=max(1, _fallback_jobs()),
-            observer=obs,
-            stats=stats,
-            deadline=deadline,
-            timeout=timeout,
-            **sim_kwargs,
-        )
-    except TimeoutError:
-        raise NonConvergenceError(
-            f"protocol {protocol.name!r} did not stabilise on |C|={config.size}: "
-            f"wall-clock deadline of {deadline:g}s exceeded (distributed)"
-        )
-
-    completed = cancelled = failed = 0
-    verdict: Optional[bool] = None
-    timed_out = 0
-    for record in records:
-        envelope = record.envelope or {}
-        if record.state == CANCELLED:
-            cancelled += 1
-            continue
-        if "error" in envelope:
-            failed += 1
-            error = envelope["error"]
-            if isinstance(error, BaseException):
-                raise error
-            raise RemoteTaskError(str(envelope.get("error_text") or error))
-        payload = envelope.get("result") or {}
-        completed += 1
-        merge_worker_metrics(obs, payload.get("metrics") or {})
-        if verdict is None:
-            # The sequential prefix: attempts the jobs=1 loop would also
-            # have run.  Spans adopt in attempt order; stragglers beyond
-            # the verdict merge metrics only (same rule as the pool).
-            if obs is not None:
-                obs.on_attempt(record.index, seeds[record.index])
-            _spans.adopt(payload.get("spans"))
-            if payload.get("verdict") is not None:
-                verdict = payload["verdict"]
-            elif payload.get("deadline_exceeded"):
-                timed_out += 1
-    if stats is not None:
-        stats.update(
-            launched=attempts,
-            completed=completed,
-            cancelled=cancelled,
-            failed=failed,
-            retries=0,
-            degraded=0,
-        )
-    # Same digest parity as the pool: snapshot the coordinator-side
-    # artifact-cache counters as gauges on the caller's registries.
-    for registry in _metrics_registries(obs):
-        for key, value in artifact_cache().stats().items():
-            registry.gauge(f"cache.{key}").set(value)
-    if verdict is None:
-        detail = f", {timed_out} timed out" if timed_out else ""
-        raise NonConvergenceError(
-            f"protocol {protocol.name!r} did not stabilise on |C|={config.size} "
-            f"within the budget ({attempts} attempts{detail})"
-        )
-    return verdict
+            if tracer is not None and tracer.metrics is not None:
+                tracer.metrics.counter("dist.degraded").inc()
+            return InProcess().run(fn, tasks, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -1053,7 +747,16 @@ def run_worker(
             if message.get("type") != "task":
                 continue
             current_id[0] = message["id"]
-            response = _execute_task(message)
+            response = {
+                "type": "result",
+                "id": message["id"],
+                **run_task(
+                    message["fn"],
+                    message["args"],
+                    str(message.get("label", "task")),
+                    bool(message.get("trace")),
+                ),
+            }
             current_id[0] = None
             try:
                 with send_lock:
@@ -1086,39 +789,6 @@ def _connect_with_retry(host: str, port: int, window: float) -> socket.socket:
                 raise
             time.sleep(delay)
             delay = min(delay * 2, 1.0)
-
-
-def _execute_task(message: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one task frame; always answers, even when the task raises."""
-    fn = message["fn"]
-    args = message["args"]
-    try:
-        if message.get("trace"):
-            tracer = _spans.SpanTracer()
-            with _spans.activate(tracer):
-                with tracer.span(str(message.get("label", "task"))):
-                    result = fn(*args)
-            return {
-                "type": "result",
-                "id": message["id"],
-                "result": result,
-                "spans": tracer.to_payload(),
-            }
-        result = fn(*args)
-        return {"type": "result", "id": message["id"], "result": result, "spans": None}
-    except Exception as exc:
-        error: Any = exc
-        try:
-            pickle.dumps(exc)
-        except Exception:
-            error = repr(exc)
-        return {
-            "type": "result",
-            "id": message["id"],
-            "error": error,
-            "error_text": traceback.format_exc(),
-            "spans": None,
-        }
 
 
 def spawn_loopback_worker(

@@ -1,38 +1,52 @@
-"""Process-pool execution engine for independent simulation tasks.
+"""Executors for independent tasks, and the fan-out built on them.
 
-Three layers, all sharing the same determinism contract (task results
-depend only on the task's own inputs and its seed-tree seed, never on
-worker scheduling):
+Every fan-out in this repository — :func:`parallel_map` over an
+experiment grid, :func:`repro.core.simulation.decide` over its seeded
+attempts — hands a task list to one *executor* method::
 
-* :func:`resolve_jobs` — the single interpretation of a ``jobs``
-  argument.  ``jobs=1`` is *the sequential path*: no pool, no pickling,
-  bit-identical to the pre-parallel code.  ``jobs=None`` defers to the
-  ``REPRO_JOBS`` environment variable (default 1) so whole experiment
-  sweeps — and the test suite — can be switched to parallel execution
-  without touching call sites.  ``jobs=0`` means "all cores".
-* :func:`parallel_map` — deterministic fan-out of ``fn(*task)`` over a
-  task list; results are assembled in task order, so the output is
-  exactly ``[fn(*t) for t in tasks]`` regardless of completion order.
-* :func:`decide_parallel` — the parallel core of
-  :func:`repro.core.simulation.decide`: all attempts launch concurrently,
-  the verdict is the *lowest-indexed* attempt that stabilised (the same
-  attempt sequential execution would have returned, preserving
-  ``jobs=1``/``jobs=N`` result equality), and once that attempt resolves
-  every not-yet-started attempt is cancelled.
+    run(fn, tasks, *, paths, labels, trace=False, ledger=None,
+        early_stop=None, deadline=None, lease_timeout=None) -> [TaskRecord]
 
-Workers run with their own :class:`~repro.observability.metrics.Metrics`
-registry; completed attempts ship it back (as a plain dict) and the
-parent merges it into any :class:`MetricsObserver` reachable from the
-caller's observer, so ``python -m repro stats`` and the benchmark JSON
-report the work that actually happened, wherever it happened.
+and reads the outcome off the returned records, in task order.  Three
+executors implement it, all under the same determinism contract (a
+task's result depends only on its own arguments, never on where or
+when it ran):
 
-The pool is *hardened* (see :mod:`repro.resilience` for the fault side
-of the story): crashed workers trigger bounded retries with exponential
-backoff and deterministic jitter, hung workers are SIGTERM'd after a
-caller-chosen ``timeout``, and when the pool cannot be trusted at all
-execution degrades to the sequential in-process path — identical seeds,
-identical verdict, just slower.  A wall-clock ``deadline`` bounds whole
-calls; crossing it raises :class:`~repro.core.errors.NonConvergenceError`.
+* :class:`InProcess` — the tasks run one after another in the caller's
+  process and context: no pickling, the caller's tracer and observer
+  see everything.  This is ``jobs=1``, the reference path;
+* :class:`ProcessPool` — forked workers on this host, hardened against
+  crashed and hung workers (below);
+* the TCP cluster (:class:`repro.runtime.distributed.Cluster`) — workers
+  on any host, reached through a ``"host:port"`` target.
+
+:func:`resolve_dispatch` picks one from a ``jobs`` argument (see
+:func:`resolve_jobs` for ``None``/``0``).  A single task always runs
+in-process, whatever the target: neither a pool nor a cluster could
+overlap it with anything.
+
+A task that runs away from the caller comes back in one envelope,
+built by :func:`run_task`: ``{"result", "spans"}`` or ``{"error",
+"error_text"}``.  With ``trace`` the task runs under its own span
+tracer and the caller adopts its spans in task order, so ``jobs=N``
+span trees equal ``jobs=1`` trees.  A :class:`TaskLedger` makes a run
+resumable: journalled tasks are answered from it, fresh completions are
+journalled as they land (:func:`open_records`, :func:`settle`).
+
+Time bounds mean the same on every executor.  ``deadline`` bounds the
+run: in-process, no task starts after it; elsewhere, a task still
+running :data:`OVERRUN_GRACE` seconds past it is abandoned.  Abandoned
+and early-stopped tasks come back ``CANCELLED``.  ``lease_timeout`` is a
+task's own budget: the pool treats a task that overruns it by the grace
+as hung, the cluster re-dispatches it.
+
+The pool degrades rather than fails: a crashed worker
+(``BrokenProcessPool``) costs up to :data:`MAX_RETRIES` pool rebuilds
+with seed-derived jittered backoff, after the results that survived the
+crash are salvaged; a hung worker, or a crash once the retries are
+spent, sends the unfinished tasks to the in-process executor — same
+results, just slower.  ``pool.worker_failures`` / ``pool.retries`` /
+``pool.degraded`` count these on the pool's :attr:`ProcessPool.metrics`.
 
 Start method: ``fork`` where the platform offers it (workers inherit the
 parent's warmed :mod:`~repro.runtime.cache` for free), else the platform
@@ -45,22 +59,33 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import random
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.errors import NonConvergenceError
 from repro.core.multiset import Multiset
 from repro.core.protocol import PopulationProtocol
-from repro.core.simulation import derive_seed, simulate
+from repro.core.simulation import simulate
 from repro.observability import spans as _spans
+from repro.observability.metrics import Metrics, MetricsObserver
 from repro.observability.observer import CompositeObserver, Observer, live
 from repro.runtime.cache import artifact_cache, cached_transition_table
 from repro.runtime.ledger import TaskLedger, resolve_ledger, task_key
-from repro.runtime.seeds import derive_child
+from repro.runtime.seeds import derive_seed_path
+
+#: Seconds a task may run past its budget — its ``lease_timeout``, or the
+#: run's ``deadline`` — before an executor gives up on it.  A task that
+#: honours its budget returns within it; only one that ignores it is hung.
+OVERRUN_GRACE = 2.0
+#: Pool rebuilds after crashed workers, and the base of their backoff
+#: (``BACKOFF_BASE · 2^i`` plus a seed-derived jitter below it).
+MAX_RETRIES = 2
+BACKOFF_BASE = 0.05
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -77,29 +102,204 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, int(jobs))
 
 
-def resolve_dispatch(jobs: Any = None) -> Tuple[str, Any]:
-    """Interpret a ``jobs`` argument as an execution target.
+def resolve_dispatch(jobs: Any, tasks: int) -> Any:
+    """The executor that runs ``tasks`` tasks for a ``jobs`` argument.
 
-    Returns ``("local", n)`` for an in-process pool of ``n`` workers, or
-    ``("distributed", "host:port")`` when ``jobs`` (or the ``REPRO_JOBS``
-    environment variable) names a coordinator address — the one switch
-    that turns every ``--jobs``-aware entry point into a distributed one
-    without touching call sites.
+    A ``"host:port"`` string — the argument, or ``REPRO_JOBS`` when
+    ``jobs`` is ``None`` — names the TCP cluster at that address (the one
+    switch that turns every ``--jobs``-aware entry point into a
+    distributed one); a count above 1 a process pool; anything else, and
+    any run of a single task, the in-process executor.
     """
-    if jobs is None:
-        raw = os.environ.get("REPRO_JOBS", "").strip()
-        if ":" in raw:
-            return ("distributed", raw)
-        return ("local", resolve_jobs(None))
-    if isinstance(jobs, str):
-        text = jobs.strip()
-        if ":" in text:
-            return ("distributed", text)
+    target = os.environ.get("REPRO_JOBS", "") if jobs is None else jobs
+    if tasks <= 1:
+        return InProcess()
+    if isinstance(target, str):
+        target = target.strip()
+        if ":" in target:
+            from repro.runtime.distributed import Cluster
+
+            return Cluster(target)
         try:
-            return ("local", resolve_jobs(int(text) if text else None))
+            target = int(target) if target else None
         except ValueError:
-            return ("local", 1)
-    return ("local", resolve_jobs(jobs))
+            target = 1
+    count = resolve_jobs(target)
+    return ProcessPool(count) if count > 1 else InProcess()
+
+
+# ----------------------------------------------------------------------
+# Task records, envelopes and the ledger
+# ----------------------------------------------------------------------
+PENDING, LEASED, DONE, CANCELLED = "pending", "leased", "done", "cancelled"
+
+
+class RemoteTaskError(RuntimeError):
+    """A task raised away from the caller with an exception that could
+    not travel back; carries the remote traceback text."""
+
+
+class TaskRecord:
+    """One task of a run and its lifecycle.  A finished run leaves every
+    record ``DONE`` — ``envelope`` holds the result or the error, and
+    ``source`` says where it came from (``"worker"``, ``"local"`` or
+    ``"ledger"``) — or ``CANCELLED``."""
+
+    __slots__ = (
+        "id", "index", "path", "key", "args", "label",
+        "state", "lease_start", "envelope", "source", "redispatched",
+    )
+
+    def __init__(self, id: int, index: int, path: Sequence[Any], args: Tuple, label: str):
+        self.id = id
+        self.index = index
+        self.path = tuple(path)
+        self.key = task_key(self.path)
+        self.args = args
+        self.label = label
+        self.state = PENDING
+        self.lease_start: Optional[float] = None
+        self.envelope: Optional[Dict[str, Any]] = None
+        self.source: Optional[str] = None
+        self.redispatched = 0
+
+
+def make_records(
+    tasks: Sequence[Sequence[Any]],
+    paths: Sequence[Sequence[Any]],
+    labels: Sequence[str],
+    first_id: int = 0,
+) -> List[TaskRecord]:
+    return [
+        TaskRecord(first_id + index, index, path, tuple(task), label)
+        for index, (task, path, label) in enumerate(zip(tasks, paths, labels))
+    ]
+
+
+def settle(
+    record: TaskRecord, envelope: Dict[str, Any], source: str, ledger: Optional[TaskLedger]
+) -> None:
+    """Mark ``record`` done with ``envelope`` and journal a result."""
+    record.state, record.envelope, record.source = DONE, envelope, source
+    if ledger is not None and "error" not in envelope:
+        ledger.record(record.key, envelope["result"])
+
+
+def open_records(
+    records: List[TaskRecord], ledger: Optional[TaskLedger]
+) -> List[TaskRecord]:
+    """Answer the records ``ledger`` has journalled; return the rest."""
+    if ledger is None:
+        return list(records)
+    todo = []
+    for record in records:
+        if record.key in ledger:
+            envelope = {"result": ledger.get(record.key), "spans": None}
+            settle(record, envelope, "ledger", None)
+        else:
+            todo.append(record)
+    return todo
+
+
+def run_task(
+    fn: Callable[..., Any], args: Tuple, label: str = "task", trace: bool = False
+) -> Dict[str, Any]:
+    """Run ``fn(*args)`` away from the caller and wrap the outcome in the
+    result envelope.  With ``trace`` the task runs inside a ``label`` span
+    of its own tracer, whose spans travel in the envelope.  Module-level
+    so pools can pickle it; an exception that cannot be pickled travels
+    as its ``repr``."""
+    try:
+        if not trace:
+            return {"result": fn(*args), "spans": None}
+        tracer = _spans.SpanTracer()
+        with _spans.activate(tracer), tracer.span(label):
+            result = fn(*args)
+        return {"result": result, "spans": tracer.to_payload()}
+    except Exception as exc:
+        error: Any = exc
+        try:
+            pickle.dumps(exc)
+        except Exception:
+            error = repr(exc)
+        return {"error": error, "error_text": traceback.format_exc()}
+
+
+def task_error(envelope: Dict[str, Any]) -> BaseException:
+    """The exception a failed task's envelope stands for."""
+    error = envelope["error"]
+    if isinstance(error, BaseException):
+        return error
+    return RemoteTaskError(str(envelope.get("error_text") or error))
+
+
+# ----------------------------------------------------------------------
+# Executors
+# ----------------------------------------------------------------------
+def run_here(
+    fn: Callable[..., Any],
+    todo: List[TaskRecord],
+    records: List[TaskRecord],
+    *,
+    trace: bool,
+    ledger: Optional[TaskLedger],
+    early_stop: Optional[Callable[[List[TaskRecord]], bool]],
+    deadline_at: Optional[float],
+) -> None:
+    """Run ``todo`` in order in the caller's process and context, each
+    journalled before the next starts.  Once ``early_stop(records)``
+    holds or ``deadline_at`` has passed, the rest are cancelled; an
+    exception from ``fn`` propagates at once."""
+    tracer = _spans.current() if trace else None
+    for position, record in enumerate(todo):
+        if (early_stop is not None and early_stop(records)) or (
+            deadline_at is not None and time.monotonic() >= deadline_at
+        ):
+            for rest in todo[position:]:
+                rest.state = CANCELLED
+            return
+        if tracer is None:
+            result = fn(*record.args)
+        else:
+            with tracer.span(record.label):
+                result = fn(*record.args)
+        settle(record, {"result": result, "spans": None}, "local", ledger)
+
+
+def _deadline_at(deadline: Optional[float]) -> Optional[float]:
+    return time.monotonic() + deadline if deadline is not None else None
+
+
+class InProcess:
+    """The in-process executor (``jobs=1``): see :func:`run_here`."""
+
+    def __init__(self) -> None:
+        self.metrics = Metrics()
+
+    def run(
+        self,
+        fn: Callable[..., Any],
+        tasks: Sequence[Sequence[Any]],
+        *,
+        paths: Sequence[Sequence[Any]],
+        labels: Sequence[str],
+        trace: bool = False,
+        ledger: Optional[TaskLedger] = None,
+        early_stop: Optional[Callable[[List[TaskRecord]], bool]] = None,
+        deadline: Optional[float] = None,
+        lease_timeout: Optional[float] = None,
+    ) -> List[TaskRecord]:
+        records = make_records(tasks, paths, labels)
+        run_here(
+            fn,
+            open_records(records, ledger),
+            records,
+            trace=trace,
+            ledger=ledger,
+            early_stop=early_stop,
+            deadline_at=_deadline_at(deadline),
+        )
+        return records
 
 
 def _start_method() -> str:
@@ -153,24 +353,143 @@ def _terminate_pool(executor: ProcessPoolExecutor) -> None:
             pass
 
 
-_UNSET = object()
+class ProcessPool:
+    """The process-pool executor: up to ``jobs`` workers on this host."""
 
-#: Sentinel: "journalling already handled upstream — do not re-resolve
-#: REPRO_LEDGER_DIR" (used by the ledgered path's inner pooled call).
-_LEDGER_OFF = object()
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self.metrics = Metrics()
+
+    def run(
+        self,
+        fn: Callable[..., Any],
+        tasks: Sequence[Sequence[Any]],
+        *,
+        paths: Sequence[Sequence[Any]],
+        labels: Sequence[str],
+        trace: bool = False,
+        ledger: Optional[TaskLedger] = None,
+        early_stop: Optional[Callable[[List[TaskRecord]], bool]] = None,
+        deadline: Optional[float] = None,
+        lease_timeout: Optional[float] = None,
+    ) -> List[TaskRecord]:
+        """Submit every task at once, then harvest the results in task
+        order (see the module docstring for the hardening)."""
+        records = make_records(tasks, paths, labels)
+        todo = open_records(records, ledger)
+        if not todo:
+            return records
+        deadline_at = _deadline_at(deadline)
+        give_up_at = deadline_at + OVERRUN_GRACE if deadline_at is not None else None
+
+        def wait() -> Optional[float]:
+            """How long to wait for one task: its lease, then the run's."""
+            bound = lease_timeout + OVERRUN_GRACE if lease_timeout is not None else None
+            if give_up_at is not None:
+                left = max(0.0, give_up_at - time.monotonic())
+                bound = left if bound is None else min(bound, left)
+            return bound
+
+        def unfinished() -> List[TaskRecord]:
+            return [r for r in todo if r.state == PENDING]
+
+        def submit() -> Dict[int, Any]:
+            return {
+                r.id: executor.submit(run_task, fn, r.args, r.label, trace)
+                for r in unfinished()
+            }
+
+        def salvage() -> None:
+            """Keep what finished before the pool broke, so only truly
+            unfinished tasks run again."""
+            for r in unfinished():
+                future = futures[r.id]
+                if future.done() and not future.cancelled():
+                    if future.exception(timeout=0) is None:
+                        settle(r, future.result(), "worker", ledger)
+
+        executor = _executor(self.jobs, len(todo))
+        retries = 0
+        try:
+            futures = submit()
+            position = 0
+            while position < len(todo):
+                record = todo[position]
+                if record.state == PENDING:
+                    try:
+                        envelope = futures[record.id].result(timeout=wait())
+                    except (FuturesTimeout, BrokenProcessPool) as exc:
+                        salvage()
+                        _terminate_pool(executor)
+                        if give_up_at is not None and time.monotonic() >= give_up_at:
+                            for r in unfinished():
+                                r.state = CANCELLED
+                            return records
+                        self.metrics.counter("pool.worker_failures").inc()
+                        if isinstance(exc, BrokenProcessPool) and retries < MAX_RETRIES:
+                            retries += 1
+                            self.metrics.counter("pool.retries").inc()
+                            delay = BACKOFF_BASE * 2 ** (retries - 1) + random.Random(
+                                derive_seed_path(0, *todo[0].path, f"pool-retry-{retries}")
+                            ).uniform(0.0, BACKOFF_BASE)
+                            if deadline_at is not None:
+                                delay = min(delay, max(0.0, deadline_at - time.monotonic()))
+                            time.sleep(delay)
+                            executor = _executor(self.jobs, len(unfinished()))
+                            futures = submit()
+                            continue
+                        # Hung, or crashed past the retries: the rest runs here.
+                        self.metrics.counter("pool.degraded").inc()
+                        run_here(
+                            fn,
+                            unfinished(),
+                            records,
+                            trace=trace,
+                            ledger=ledger,
+                            early_stop=early_stop,
+                            deadline_at=deadline_at,
+                        )
+                        return records
+                    settle(record, envelope, "worker", ledger)
+                position += 1
+                if early_stop is not None and early_stop(records):
+                    self._stop(unfinished(), futures, executor, wait, ledger)
+                    return records
+        except BaseException:
+            _terminate_pool(executor)
+            raise
+        finally:
+            executor.shutdown()  # a no-op once the pool was terminated
+        return records
+
+    def _stop(self, rest, futures, executor, wait, ledger) -> None:
+        """Early stop: cancel every pending task in one fast pass — a
+        blocking wait first would let them start and dodge the cancel —
+        then drain the running ones under a bounded wait, so their
+        results still count."""
+        running = []
+        for record in rest:
+            if futures[record.id].cancel():
+                record.state = CANCELLED
+            else:
+                running.append(record)
+        for record in running:
+            try:
+                settle(record, futures[record.id].result(timeout=wait()), "worker", ledger)
+            except (FuturesTimeout, BrokenProcessPool):
+                # A straggler that hangs or crashes cannot unwind the
+                # run: it and everything still running are cut loose.
+                self.metrics.counter("pool.worker_failures").inc()
+                _terminate_pool(executor)
+                for r in running:
+                    if r.state != DONE:
+                        r.state = CANCELLED
+                return
 
 
-def _traced_task(fn: Callable[..., Any], label: str, args: Tuple[Any, ...]) -> Dict[str, Any]:
-    """Run one task under a fresh span tracer and ship the spans with the
-    result.  Module-level so it is picklable; also used for the in-process
-    degraded rerun so every traced result has the same envelope."""
-    tracer = _spans.SpanTracer()
-    with _spans.activate(tracer):
-        with tracer.span(label):
-            result = fn(*args)
-    return {"__spans__": tracer.to_payload(), "result": result}
-
-
+# ----------------------------------------------------------------------
+# parallel_map
+# ----------------------------------------------------------------------
 def parallel_map(
     fn: Callable[..., Any],
     tasks: Iterable[Sequence[Any]],
@@ -181,181 +500,54 @@ def parallel_map(
     paths: Optional[Sequence[Sequence[Any]]] = None,
     ledger: Optional[TaskLedger] = None,
 ) -> List[Any]:
-    """``[fn(*t) for t in tasks]``, fanned across a process pool.
+    """``[fn(*t) for t in tasks]``, on the executor ``jobs`` names
+    (:func:`resolve_dispatch`).
 
-    ``fn`` must be a module-level callable and every task argument (and
-    result) picklable.  With ``jobs=1`` (or a single task) no pool is
-    created and the comprehension runs verbatim in-process.  When
-    ``jobs`` (or ``REPRO_JOBS``) is a ``"host:port"`` string the whole
-    call routes to :func:`repro.runtime.distributed.distributed_map` on
-    the cluster at that address — same results, different hardware.
+    Results come back in task order whatever the executor; the first
+    failed task's exception is raised.  ``fn`` and every task argument
+    and result must be picklable unless the tasks run in-process.
+    ``timeout`` is each task's lease (see the module docstring).
 
-    When a span tracer is active in the caller, every task runs under its
-    own span — ``span_labels[i]`` or ``task:<i>`` — and spans created in
-    workers are shipped back and adopted in task order, so the merged
-    span tree is identical for ``jobs=1`` and ``jobs=N``.  Without an
-    active tracer nothing changes (workers run ``fn`` directly).
+    When a span tracer is active, every task runs under its own span —
+    ``span_labels[i]`` or ``task:<i>`` — and spans made elsewhere are
+    adopted in task order, so the merged span tree is identical for
+    every executor.
 
-    ``paths`` names each task by its deterministic seed-tree path (for
-    ledger keys and distributed re-dispatch).  A :class:`TaskLedger` —
-    explicit, or opened under ``REPRO_LEDGER_DIR`` — makes the call
-    resumable: journalled tasks return their recorded results without
-    re-execution, fresh completions are journalled as they land.
-
-    The fan-out degrades rather than fails: if the pool breaks (a worker
-    crashed) or a task exceeds ``timeout`` seconds, surviving results are
-    harvested, the pool is torn down, and every unfinished task runs
-    sequentially in-process — same results, just slower.  Exceptions
-    *raised by* ``fn`` are not failures of the pool and propagate as
-    usual.
+    ``paths`` names each task by its deterministic seed-tree path
+    (default ``("task", i)``): the ledger key and the cluster's
+    re-dispatch unit.  A :class:`TaskLedger` — explicit, or opened under
+    ``REPRO_LEDGER_DIR`` — makes the call resumable.
     """
     tasks = [tuple(t) for t in tasks]
-    if paths is not None:
-        paths = [tuple(p) for p in paths]
-        if len(paths) != len(tasks):
-            raise ValueError("paths must match tasks in length")
-    mode, target = resolve_dispatch(jobs)
-    if mode == "distributed":
-        from repro.runtime.distributed import distributed_map
-
-        return distributed_map(
-            fn, tasks, addr=target, span_labels=span_labels, paths=paths, ledger=ledger
-        )
-    jobs = target
-    tracer = _spans.current()
-    labels = None
-    if tracer is not None:
-        labels = (
-            [str(l) for l in span_labels]
-            if span_labels is not None
-            else [f"task:{i}" for i in range(len(tasks))]
-        )
-        if len(labels) != len(tasks):
-            raise ValueError("span_labels must match tasks in length")
-    if ledger is _LEDGER_OFF:
-        ledger = None
-    else:
-        ledger = resolve_ledger(
-            fn,
-            paths if paths is not None else [("task", i) for i in range(len(tasks))],
-            tasks,
-            ledger=ledger,
-        )
-    if ledger is not None:
-        return _ledgered_map(
-            fn,
-            tasks,
-            paths=paths,
-            jobs=jobs,
-            timeout=timeout,
-            tracer=tracer,
-            labels=labels,
-            ledger=ledger,
-        )
-    if jobs <= 1 or len(tasks) <= 1:
-        if labels is None:
-            return [fn(*t) for t in tasks]
-        out: List[Any] = []
-        for label, t in zip(labels, tasks):
-            with tracer.span(label):
-                out.append(fn(*t))
-        return out
-
-    def _run(i: int) -> Any:
-        """In-process execution of task ``i`` (sequential / degraded)."""
-        if labels is None:
-            return fn(*tasks[i])
-        return _traced_task(fn, labels[i], tasks[i])
-
-    def _submit(executor: ProcessPoolExecutor, i: int) -> Any:
-        if labels is None:
-            return executor.submit(fn, *tasks[i])
-        return executor.submit(_traced_task, fn, labels[i], tasks[i])
-
-    results: List[Any] = [_UNSET] * len(tasks)
-    executor = _executor(jobs, len(tasks))
-    degraded = False
-    try:
-        futures = [_submit(executor, i) for i in range(len(tasks))]
-        for i, future in enumerate(futures):
-            try:
-                results[i] = future.result(timeout=timeout)
-            except (BrokenProcessPool, FuturesTimeout):
-                degraded = True
-                break
-        if degraded:
-            _terminate_pool(executor)
-            for i, future in enumerate(futures):
-                if results[i] is _UNSET and future.done() and not future.cancelled():
-                    try:
-                        if future.exception(timeout=0) is None:
-                            results[i] = future.result()
-                    except Exception:
-                        pass
-            for i in range(len(tasks)):
-                if results[i] is _UNSET:
-                    results[i] = _run(i)
-    finally:
-        if not degraded:
-            executor.shutdown()
-    if labels is not None:
-        # Unwrap the traced envelopes in task order, adopting each task's
-        # spans under the caller's current span path — deterministic
-        # regardless of which worker ran what, when.
-        for i, envelope in enumerate(results):
-            tracer.adopt(envelope["__spans__"])
-            results[i] = envelope["result"]
-    return results
-
-
-def _ledgered_map(
-    fn: Callable[..., Any],
-    tasks: List[Tuple[Any, ...]],
-    *,
-    paths: Optional[List[Tuple[Any, ...]]],
-    jobs: int,
-    timeout: Optional[float],
-    tracer: Optional[Any],
-    labels: Optional[List[str]],
-    ledger: TaskLedger,
-) -> List[Any]:
-    """The resumable variant of :func:`parallel_map`: journalled tasks
-    are answered from the ledger, the rest execute and are journalled.
-
-    Sequentially (``jobs=1``) each completion is flushed before the next
-    task starts, so a crash loses at most the task in flight — the
-    property the resume tests pin.  With a pool, completions journal as
-    they are harvested in task order.
-    """
-    keys = [
-        task_key(p)
-        for p in (paths if paths is not None else [("task", i) for i in range(len(tasks))])
-    ]
-    todo = [i for i, key in enumerate(keys) if key not in ledger]
-    results: List[Any] = [ledger.get(key) for key in keys]
-    if not todo:
-        return results
-    if jobs <= 1 or len(todo) <= 1:
-        for i in todo:
-            if tracer is None:
-                value = fn(*tasks[i])
-            else:
-                with tracer.span(labels[i]):
-                    value = fn(*tasks[i])
-            ledger.record(keys[i], value)
-            results[i] = value
-        return results
-    fresh = parallel_map(
-        fn,
-        [tasks[i] for i in todo],
-        jobs=jobs,
-        timeout=timeout,
-        span_labels=[labels[i] for i in todo] if labels is not None else None,
-        ledger=_LEDGER_OFF,
+    paths = (
+        [tuple(p) for p in paths]
+        if paths is not None
+        else [("task", i) for i in range(len(tasks))]
     )
-    for i, value in zip(todo, fresh):
-        ledger.record(keys[i], value)
-        results[i] = value
+    if len(paths) != len(tasks):
+        raise ValueError("paths must match tasks in length")
+    labels = (
+        [str(l) for l in span_labels]
+        if span_labels is not None
+        else [f"task:{i}" for i in range(len(tasks))]
+    )
+    if len(labels) != len(tasks):
+        raise ValueError("span_labels must match tasks in length")
+    records = resolve_dispatch(jobs, len(tasks)).run(
+        fn,
+        tasks,
+        paths=paths,
+        labels=labels,
+        trace=_spans.current() is not None,
+        ledger=resolve_ledger(fn, paths, tasks, ledger=ledger),
+        lease_timeout=timeout,
+    )
+    results = []
+    for record in records:
+        if "error" in record.envelope:
+            raise task_error(record.envelope)
+        _spans.adopt(record.envelope["spans"])
+        results.append(record.envelope["result"])
     return results
 
 
@@ -364,8 +556,6 @@ def _ledgered_map(
 # ----------------------------------------------------------------------
 def _metrics_registries(observer: Optional[Observer]) -> List[Any]:
     """Every :class:`Metrics` registry reachable from ``observer``."""
-    from repro.observability.metrics import MetricsObserver
-
     obs = live(observer)
     if obs is None:
         return []
@@ -387,14 +577,17 @@ def merge_worker_metrics(observer: Optional[Observer], payload: Dict[str, Any]) 
         registry.merge(payload)
 
 
-def _bump(observer: Optional[Observer], name: str, amount: int = 1) -> None:
-    """Increment a counter on every metrics registry behind ``observer``."""
+def record_cache_gauges(observer: Optional[Observer]) -> None:
+    """Snapshot this process's artifact-cache counters as ``cache.*``
+    gauges behind ``observer``, so a fanned-out run's digest (and its
+    provenance manifest) shows how much compilation the cache absorbed."""
     for registry in _metrics_registries(observer):
-        registry.counter(name).inc(amount)
+        for key, value in artifact_cache().stats().items():
+            registry.gauge(f"cache.{key}").set(value)
 
 
 # ----------------------------------------------------------------------
-# Parallel decide
+# One decide attempt
 # ----------------------------------------------------------------------
 def _decide_attempt_worker(
     protocol: PopulationProtocol,
@@ -402,332 +595,66 @@ def _decide_attempt_worker(
     seed: int,
     sim_kwargs: Dict[str, Any],
     attempt: int = 0,
+    timeout: Optional[float] = None,
+    until: Optional[float] = None,
+    observer: Optional[Observer] = None,
 ) -> Dict[str, Any]:
-    """One decide attempt, run inside a worker process.
+    """One attempt of :func:`repro.core.simulation.decide`.
 
-    Collects the attempt's metrics — and its span subtree, rooted at
-    ``attempt:<i>`` to mirror the sequential path — locally and returns
-    them with the verdict; observation never touches the random stream, so
-    the sampled run is identical to an unobserved sequential attempt with
-    this seed.  The cache warm-up runs *before* the tracer is installed:
-    under ``fork`` it is an attribute-read no-op, and either way the
-    coordinator (which warmed the cache up front) owns the cache span.
+    Its budget is ``timeout`` or the time left before ``until`` (the
+    call's ``time.time()`` deadline, readable on any host), whichever
+    ends first; ``past_deadline`` in the result says the call's deadline
+    had passed when the attempt ended.
+
+    In the caller's process ``observer`` is given: the observer hears
+    ``on_attempt`` and then every event, and ``attempt:<i>`` opens in the
+    caller's tracer.  Elsewhere the attempt collects its own metrics and
+    span subtree and returns them with the verdict.  Observation never
+    touches the random stream, so the run is the same either way.
     """
-    from repro.observability.metrics import MetricsObserver
-
-    cached_transition_table(protocol)  # fork-inherited or disk cache hit
-    metrics = MetricsObserver()
-    tracer = _spans.SpanTracer()
-    with _spans.activate(tracer):
-        with tracer.span(f"attempt:{attempt}", seed=seed):
+    budget = timeout
+    if until is not None:
+        left = max(until - time.time(), 1e-6)  # simulate refuses a spent budget
+        budget = left if budget is None else min(budget, left)
+    if observer is None:
+        cached_transition_table(protocol)  # fork-inherited or disk cache hit
+        metrics = MetricsObserver()
+        tracer = _spans.SpanTracer()
+        with _spans.activate(tracer), tracer.span(f"attempt:{attempt}", seed=seed):
             result = simulate(
-                protocol, config, seed=seed, observer=metrics, **sim_kwargs
+                protocol, config, seed=seed, observer=metrics, deadline=budget, **sim_kwargs
             )
+        shipped = {"metrics": metrics.metrics.to_dict(), "spans": tracer.to_payload()}
+    else:
+        obs = live(observer)
+        if obs is not None:
+            obs.on_attempt(attempt, seed)
+        with _spans.span(f"attempt:{attempt}", seed=seed):
+            result = simulate(
+                protocol, config, seed=seed, observer=obs, deadline=budget, **sim_kwargs
+            )
+        shipped = {}
     return {
         "verdict": result.verdict,
         "silent": result.silent,
         "interactions": result.interactions,
         "productive": result.productive,
         "deadline_exceeded": result.deadline_exceeded,
-        "metrics": metrics.metrics.to_dict(),
-        "spans": tracer.to_payload(),
+        "past_deadline": until is not None and time.time() >= until,
+        **shipped,
     }
 
 
-def decide_parallel(
-    protocol: PopulationProtocol,
-    config: Multiset,
-    *,
-    base: int,
-    attempts: int,
-    jobs: int,
-    observer: Optional[Observer] = None,
-    stats: Optional[Dict[str, int]] = None,
-    deadline: Optional[float] = None,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    backoff_base: float = 0.05,
-    **sim_kwargs: Any,
-) -> bool:
-    """Run all decide attempts concurrently; first verdict (in attempt
-    order) wins and cancels the not-yet-started rest.
-
-    Per-attempt seeds are ``derive_seed(base, attempt)`` — the exact
-    seeds sequential :func:`~repro.core.simulation.decide` uses — and the
-    returned verdict is the lowest-indexed attempt with one, so the
-    result is identical to ``jobs=1`` for every base seed.  Attempts that
-    were already running when the verdict landed are drained (their
-    metrics still merge: the registry reports work actually done); pending
-    ones are cancelled before they consume a core.
-
-    Hardening (the resilience contract — same verdict, degraded speed):
-
-    * a *crashed* worker (``BrokenProcessPool``) triggers up to
-      ``max_retries`` pool rebuilds with exponential backoff
-      (``backoff_base · 2^i`` plus a deterministic seed-derived jitter);
-      results that survived the crash are harvested first, so only
-      unfinished attempts rerun — on identical seeds, so the verdict is
-      unchanged;
-    * a *hung* worker (``timeout`` seconds without a result) gets its
-      pool torn down — SIGTERM, no waiting — and execution degrades to
-      the sequential path in-process;
-    * once retries are exhausted the same sequential degradation applies,
-      so a persistently broken pool yields exactly the ``jobs=1`` answer;
-    * ``deadline`` bounds the whole call in wall-clock seconds; crossing
-      it raises :class:`NonConvergenceError` (unless a verdict is already
-      in hand, which is returned).
-
-    ``stats``, when passed, receives ``launched`` / ``completed`` /
-    ``cancelled`` / ``failed`` counts (every launched attempt lands in
-    exactly one of the latter three) plus ``retries`` (pool rebuilds) and
-    ``degraded`` (attempts that fell back to in-process execution).
-    Matching ``pool.worker_failures`` / ``pool.retries`` /
-    ``pool.degraded`` counters land on any metrics registry behind
-    ``observer``.
-
-    Raises :class:`NonConvergenceError` when no attempt stabilises, like
-    the sequential path.
-    """
-    obs = live(observer)
-    seeds = [derive_seed(base, attempt) for attempt in range(attempts)]
-    # Warm the compile caches *before* the pool exists so fork-started
-    # workers inherit the table instead of recompiling it per attempt.
-    cached_transition_table(protocol)
-    deadline_at = time.monotonic() + deadline if deadline is not None else None
-
-    launched = attempts
-    completed = cancelled = failed = retries = degraded = timed_out = 0
-    seq_mode = False
-    pool_alive = True
-    verdict: Optional[bool] = None
-
-    def _budget() -> Optional[float]:
-        """Seconds this attempt may wait (``None`` = unbounded); raises
-        once the overall deadline has passed."""
-        b = timeout
-        if deadline_at is not None:
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                raise NonConvergenceError(
-                    f"protocol {protocol.name!r} did not stabilise on "
-                    f"|C|={config.size}: wall-clock deadline of {deadline:g}s "
-                    f"exceeded"
-                )
-            b = remaining if b is None else min(b, remaining)
-        return b
-
-    def _sequential_attempt(attempt: int) -> Dict[str, Any]:
-        """Degraded mode: the attempt runs in-process on its own seed —
-        identical verdict semantics, bounded by the remaining budget."""
-        from repro.observability.metrics import MetricsObserver
-
-        kwargs = dict(sim_kwargs)
-        b = _budget()
-        if b is not None:
-            kwargs["deadline"] = b
-        metrics = MetricsObserver()
-        # Runs in the coordinator, where any span tracer is ambient: the
-        # attempt span records directly, so no "spans" payload (adoption
-        # would double-count it).
-        with _spans.span(f"attempt:{attempt}", seed=seeds[attempt]):
-            result = simulate(
-                protocol, config, seed=seeds[attempt], observer=metrics, **kwargs
-            )
-        return {
-            "verdict": result.verdict,
-            "silent": result.silent,
-            "interactions": result.interactions,
-            "productive": result.productive,
-            "deadline_exceeded": result.deadline_exceeded,
-            "metrics": metrics.metrics.to_dict(),
-        }
-
-    executor = _executor(jobs, attempts)
-    futures: Dict[int, Any] = {}
-    payloads: Dict[int, Dict[str, Any]] = {}  # harvested ahead of their turn
-
-    def _harvest(start: int) -> None:
-        """Salvage results that finished before the pool broke so retries
-        only redo genuinely unfinished attempts."""
-        for b_, fut in futures.items():
-            if b_ >= start and b_ not in payloads and fut.done() and not fut.cancelled():
-                try:
-                    if fut.exception(timeout=0) is None:
-                        payloads[b_] = fut.result()
-                except Exception:
-                    continue
-
-    try:
-        futures = {
-            a: executor.submit(
-                _decide_attempt_worker, protocol, config, seeds[a], sim_kwargs, a
-            )
-            for a in range(attempts)
-        }
-        a = 0
-        while a < attempts:
-            if a in payloads:
-                payload = payloads.pop(a)
-            elif seq_mode:
-                degraded += 1
-                payload = _sequential_attempt(a)
-            else:
-                try:
-                    payload = futures[a].result(timeout=_budget())
-                except FuturesTimeout:
-                    # Hung worker: the pool cannot be waited on safely.
-                    _bump(obs, "pool.worker_failures")
-                    _harvest(a)
-                    _terminate_pool(executor)
-                    pool_alive = False
-                    seq_mode = True
-                    _bump(obs, "pool.degraded")
-                    continue  # rerun attempt `a` in-process
-                except BrokenProcessPool:
-                    _bump(obs, "pool.worker_failures")
-                    _harvest(a)
-                    _terminate_pool(executor)
-                    pool_alive = False
-                    if retries < max_retries:
-                        retries += 1
-                        _bump(obs, "pool.retries")
-                        delay = backoff_base * (2 ** (retries - 1))
-                        delay += random.Random(
-                            derive_child(base, f"pool-retry-{retries}")
-                        ).uniform(0.0, backoff_base)
-                        if deadline_at is not None:
-                            delay = min(
-                                delay, max(0.0, deadline_at - time.monotonic())
-                            )
-                        time.sleep(delay)
-                        executor = _executor(jobs, attempts - a)
-                        pool_alive = True
-                        for b_ in range(a, attempts):
-                            if b_ not in payloads:
-                                futures[b_] = executor.submit(
-                                    _decide_attempt_worker,
-                                    protocol,
-                                    config,
-                                    seeds[b_],
-                                    sim_kwargs,
-                                    b_,
-                                )
-                        continue  # retry attempt `a` on the fresh pool
-                    seq_mode = True
-                    _bump(obs, "pool.degraded")
-                    continue
-                except NonConvergenceError:
-                    raise
-                except Exception:
-                    # The attempt itself raised (bad kwargs, protocol bug):
-                    # that is the caller's exception, not a pool fault.
-                    failed += 1
-                    _terminate_pool(executor)
-                    pool_alive = False
-                    raise
-            completed += 1
-            if obs is not None:
-                obs.on_attempt(a, seeds[a])
-            merge_worker_metrics(obs, payload["metrics"])
-            # Adopt the attempt's span subtree in attempt order — but only
-            # for attempts the sequential path would also have run (up to
-            # and including the verdict attempt).  Drained stragglers
-            # below merge metrics, never spans, so the jobs=N span tree
-            # structurally equals the jobs=1 tree.
-            _spans.adopt(payload.get("spans"))
-            if payload["verdict"] is not None:
-                verdict = payload["verdict"]
-                a += 1
-                break
-            if payload.get("deadline_exceeded"):
-                timed_out += 1
-                if deadline_at is not None and time.monotonic() >= deadline_at:
-                    raise NonConvergenceError(
-                        f"protocol {protocol.name!r} did not stabilise on "
-                        f"|C|={config.size}: wall-clock deadline exceeded "
-                        f"during attempt {a + 1} of {attempts}"
-                    )
-            a += 1
-
-        if verdict is not None:
-            # First verdict wins: sweep-cancel everything still pending in
-            # one fast pass *before* any blocking drain — waiting first
-            # would let pending attempts start and dodge their cancel.
-            draining = []
-            for b_ in range(a, attempts):
-                if b_ in payloads:
-                    completed += 1
-                    merge_worker_metrics(obs, payloads.pop(b_)["metrics"])
-                elif seq_mode or b_ not in futures:
-                    cancelled += 1
-                elif futures[b_].cancel():
-                    cancelled += 1
-                else:
-                    draining.append(futures[b_])
-            # Then drain the stragglers (bounded — a hung one cannot hold
-            # the verdict hostage) and merge their metrics truthfully.
-            broken = False
-            for fut in draining:
-                if broken:
-                    if fut.cancelled() or fut.cancel():
-                        cancelled += 1
-                    else:
-                        failed += 1
-                    continue
-                drain_budget = timeout
-                if deadline_at is not None:
-                    remaining = max(0.0, deadline_at - time.monotonic())
-                    drain_budget = (
-                        remaining
-                        if drain_budget is None
-                        else min(drain_budget, remaining)
-                    )
-                try:
-                    payload = fut.result(timeout=drain_budget)
-                except BaseException:
-                    # A drained attempt's failure cannot unwind a verdict.
-                    failed += 1
-                    _bump(obs, "pool.worker_failures")
-                    _terminate_pool(executor)
-                    pool_alive = False
-                    broken = True
-                else:
-                    completed += 1
-                    merge_worker_metrics(obs, payload["metrics"])
-    except NonConvergenceError:
-        # The deadline passed, possibly before the first wait: attempts
-        # may still be running, and a waiting shutdown would block on them.
-        if pool_alive:
-            _terminate_pool(executor)
-            pool_alive = False
-        raise
-    finally:
-        if pool_alive:
-            executor.shutdown()
-        # Snapshot the coordinator's artifact-cache counters as gauges so
-        # a parallel run's digest (and its provenance manifest) shows how
-        # much compilation the cache absorbed.
-        for registry in _metrics_registries(obs):
-            for key, value in artifact_cache().stats().items():
-                registry.gauge(f"cache.{key}").set(value)
-        if stats is not None:
-            # Attempts abandoned by an exception unwind never got a
-            # disposition; they were implicitly cancelled with the pool.
-            accounted = completed + cancelled + failed
-            if accounted < launched:
-                cancelled += launched - accounted
-            stats.update(
-                launched=launched,
-                completed=completed,
-                cancelled=cancelled,
-                failed=failed,
-                retries=retries,
-                degraded=degraded,
-            )
-    if verdict is None:
-        detail = f", {timed_out} timed out" if timed_out else ""
-        raise NonConvergenceError(
-            f"protocol {protocol.name!r} did not stabilise on |C|={config.size} "
-            f"within the budget ({attempts} attempts{detail})"
-        )
-    return verdict
+def decide_settled(records: List[TaskRecord]) -> bool:
+    """Early stop for ``decide``: the lowest-indexed attempt that decides
+    the call — with a verdict, an error or the deadline — is in."""
+    for record in records:
+        if record.state != DONE:
+            return False
+        envelope = record.envelope
+        if "error" in envelope:
+            return True
+        payload = envelope["result"]
+        if payload["verdict"] is not None or payload["past_deadline"]:
+            return True
+    return False

@@ -11,22 +11,30 @@ from repro.baselines import binary_threshold_protocol
 from repro.core import Multiset, NonConvergenceError, decide, simulate
 from repro.core.scheduler import UniformPairScheduler
 import repro.runtime.pool as pool
-from repro.runtime.pool import decide_parallel, parallel_map
+from repro.observability.metrics import MetricsObserver
+from repro.runtime.pool import parallel_map
 
 #: Recorded at import: under the default ``fork`` start method workers
 #: inherit this value, so ``os.getpid() != PARENT_PID`` identifies "I am
 #: a pool worker" inside functions that must misbehave only in workers.
 PARENT_PID = os.getpid()
 
+#: The real attempt: degraded attempts run it in the parent.
+_ATTEMPT = pool._decide_attempt_worker
 
-def _suicidal_worker(protocol, config, seed, sim_kwargs, attempt=0):
+
+def _suicidal_worker(*args, **kwargs):
     """Every pool attempt dies instantly: the BrokenProcessPool path."""
-    os.kill(os.getpid(), signal.SIGKILL)
+    if os.getpid() != PARENT_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _ATTEMPT(*args, **kwargs)
 
 
-def _sleeping_worker(protocol, config, seed, sim_kwargs, attempt=0):
+def _sleeping_worker(*args, **kwargs):
     """Every pool attempt hangs: the per-attempt timeout path."""
-    time.sleep(120)
+    if os.getpid() != PARENT_PID:
+        time.sleep(120)
+    return _ATTEMPT(*args, **kwargs)
 
 
 def _square_unless_worker(x):
@@ -54,16 +62,7 @@ class TestBrokenPoolRecovery:
         monkeypatch.setattr(pool, "_decide_attempt_worker", _suicidal_worker)
         stats = {}
         start = time.monotonic()
-        verdict = decide_parallel(
-            pp,
-            config,
-            base=7,
-            attempts=4,
-            jobs=2,
-            stats=stats,
-            max_retries=2,
-            backoff_base=0.01,
-        )
+        verdict = decide(pp, config, seed=7, attempts=4, jobs=2, stats=stats)
         elapsed = time.monotonic() - start
         assert verdict == sequential_verdict
         assert stats["retries"] == 2
@@ -77,21 +76,10 @@ class TestBrokenPoolRecovery:
     def test_worker_failures_counted_in_metrics(
         self, monkeypatch, protocol_and_config
     ):
-        from repro.observability.metrics import MetricsObserver
-
         pp, config = protocol_and_config
         monkeypatch.setattr(pool, "_decide_attempt_worker", _suicidal_worker)
         observer = MetricsObserver()
-        decide_parallel(
-            pp,
-            config,
-            base=7,
-            attempts=3,
-            jobs=2,
-            observer=observer,
-            max_retries=1,
-            backoff_base=0.01,
-        )
+        decide(pp, config, seed=7, attempts=3, jobs=2, observer=observer)
         counters = observer.metrics.to_dict()["counters"]
         assert counters.get("pool.worker_failures", 0) >= 1
         assert counters.get("pool.degraded", 0) >= 1
@@ -105,8 +93,8 @@ class TestHungWorkers:
         monkeypatch.setattr(pool, "_decide_attempt_worker", _sleeping_worker)
         stats = {}
         start = time.monotonic()
-        verdict = decide_parallel(
-            pp, config, base=7, attempts=3, jobs=2, stats=stats, timeout=1.0
+        verdict = decide(
+            pp, config, seed=7, attempts=3, jobs=2, stats=stats, timeout=1.0
         )
         elapsed = time.monotonic() - start
         assert verdict == sequential_verdict
@@ -118,6 +106,29 @@ class TestHungWorkers:
         # One timeout window plus teardown and the sequential replay —
         # nowhere near the worker's 120s sleep.
         assert elapsed < 30
+
+    def test_slow_attempts_time_out_without_degrading(self):
+        # Attempts that honour their 0.3s budget are slow, not hung: each
+        # times out where it runs, and the pool stays up.
+        observer = MetricsObserver()
+        stats = {}
+        with pytest.raises(NonConvergenceError, match="3 timed out"):
+            decide(
+                binary_threshold_protocol(5),
+                Multiset({"p0": 5_000}),
+                seed=0,
+                attempts=3,
+                jobs=2,
+                timeout=0.3,
+                observer=observer,
+                stats=stats,
+                scheduler=UniformPairScheduler(),
+                max_interactions=500_000_000,
+                convergence_window=400_000_000,
+            )
+        assert stats["degraded"] == 0
+        assert stats["completed"] == 3
+        assert "pool.worker_failures" not in observer.metrics.to_dict()["counters"]
 
 
 class TestParallelMapDegradation:
@@ -192,14 +203,14 @@ class TestDeadlines:
                 convergence_window=400_000_000,
             )
 
-    def test_decide_parallel_deadline_raises(self, protocol_and_config):
+    def test_pooled_decide_deadline_raises(self, protocol_and_config):
         pp = binary_threshold_protocol(5)
         config = Multiset({"p0": 5_000})
         with pytest.raises(NonConvergenceError, match="deadline"):
-            decide_parallel(
+            decide(
                 pp,
                 config,
-                base=0,
+                seed=0,
                 attempts=4,
                 jobs=2,
                 deadline=0.5,
@@ -213,10 +224,10 @@ class TestDeadlines:
         # raise at once instead of waiting for attempts that run for hours.
         start = time.monotonic()
         with pytest.raises(NonConvergenceError, match="deadline"):
-            decide_parallel(
+            decide(
                 binary_threshold_protocol(5),
                 Multiset({"p0": 5_000}),
-                base=0,
+                seed=0,
                 attempts=2,
                 jobs=2,
                 deadline=1e-9,

@@ -22,8 +22,6 @@ from repro.runtime.distributed import (
     Coordinator,
     FrameDecoder,
     NoWorkersError,
-    RemoteTaskError,
-    distributed_map,
     encode_frame,
     format_address,
     get_cluster,
@@ -38,7 +36,7 @@ from repro.runtime.ledger import (
     resolve_ledger,
     task_key,
 )
-from repro.runtime.pool import parallel_map
+from repro.runtime.pool import CANCELLED, RemoteTaskError, parallel_map
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -67,6 +65,11 @@ def slow_marked_square(x, marker_dir, delay):
     result = marked_square(x, marker_dir)
     time.sleep(delay)
     return result
+
+
+def slow_square(x, delay):
+    time.sleep(delay)
+    return x * x
 
 
 def stall_task_zero_once(x, marker_dir):
@@ -277,13 +280,14 @@ def cluster():
 class TestLoopbackEquivalence:
     def test_map_matches_sequential(self, cluster):
         tasks = [(i,) for i in range(12)]
-        assert distributed_map(square, tasks, addr=cluster.address) == [
+        assert parallel_map(square, tasks, jobs=cluster.address) == [
             square(i) for i in range(12)
         ]
 
     def test_remote_exception_propagates(self, cluster):
+        # Two tasks: a single one would run in-process, not on the cluster.
         with pytest.raises((ValueError, RemoteTaskError), match="boom"):
-            distributed_map(boom, [(1,)], addr=cluster.address)
+            parallel_map(boom, [(1,), (2,)], jobs=cluster.address)
 
     def test_span_tree_equals_jobs1(self, cluster):
         tasks = [(i,) for i in range(6)]
@@ -295,8 +299,8 @@ class TestLoopbackEquivalence:
 
         distributed = SpanTracer(metrics=Metrics())
         with activate(distributed):
-            out = distributed_map(
-                square, tasks, addr=cluster.address, span_labels=labels
+            out = parallel_map(
+                square, tasks, jobs=cluster.address, span_labels=labels
             )
         assert out == [i * i for i in range(6)]
         assert _shape(distributed.tree()) == _shape(sequential.tree())
@@ -319,6 +323,21 @@ class TestLoopbackEquivalence:
             stats["launched"]
             == stats["completed"] + stats["cancelled"] + stats["failed"]
         )
+
+    def test_single_attempt_fills_stats(self, cluster):
+        stats = {}
+        verdict = decide(
+            binary_threshold_protocol(5),
+            Multiset({"p0": 7}),
+            seed=3,
+            attempts=1,
+            jobs=cluster.address,
+            stats=stats,
+            max_interactions=200_000,
+            convergence_window=20_000,
+        )
+        assert verdict is True
+        assert stats["launched"] == stats["completed"] == 1
 
     def test_env_routes_decide_to_cluster(self, cluster, monkeypatch):
         pp = binary_threshold_protocol(5)
@@ -343,10 +362,10 @@ class TestLoopbackEquivalence:
                 marked_square, paths, tasks, directory=ledger_dir
             )
 
-        first = distributed_map(
+        first = parallel_map(
             marked_square,
             tasks,
-            addr=cluster.address,
+            jobs=cluster.address,
             paths=paths,
             ledger=open_ledger(),
         )
@@ -354,10 +373,10 @@ class TestLoopbackEquivalence:
         executed = len(list((tmp_path / "markers").iterdir()))
         assert executed == 6
         before = cluster.metrics.counter("dist.ledger_hits").value
-        second = distributed_map(
+        second = parallel_map(
             marked_square,
             tasks,
-            addr=cluster.address,
+            jobs=cluster.address,
             paths=paths,
             ledger=open_ledger(),
         )
@@ -379,10 +398,10 @@ class TestWorkerLoss:
             procs[0].kill()
             procs[0].wait(timeout=15)
             tasks = [(i, str(tmp_path / "markers"), 0.05) for i in range(8)]
-            results = distributed_map(
+            results = parallel_map(
                 slow_marked_square,
                 tasks,
-                addr=coordinator.address,
+                jobs=coordinator.address,
                 paths=[("kill", i) for i in range(8)],
             )
             assert results == [i * i for i in range(8)]
@@ -395,12 +414,12 @@ class TestWorkerLoss:
         procs = _spawn_workers(coordinator, 2)
         try:
             tasks = [(i, str(tmp_path / "markers")) for i in range(4)]
-            results = distributed_map(
+            results = parallel_map(
                 stall_task_zero_once,
                 tasks,
-                addr=coordinator.address,
+                jobs=coordinator.address,
                 paths=[("stall", i) for i in range(4)],
-                lease_timeout=2.0,
+                timeout=2.0,
             )
             assert results == [i * i for i in range(4)]
             assert coordinator.metrics.counter("dist.lease_expired").value >= 1
@@ -412,17 +431,45 @@ class TestWorkerLoss:
                 proc.wait(timeout=15)
 
 
+    def test_deadline_cancels_and_frees_workers(self):
+        # Tasks that outlive the run's deadline come back cancelled; their
+        # late results must free the workers for the next run.
+        coordinator = get_cluster("127.0.0.1:0")
+        procs = _spawn_workers(coordinator, 2)
+        try:
+            records = coordinator.run(
+                slow_square,
+                [(i, 4.0) for i in range(2)],
+                paths=[("late", i) for i in range(2)],
+                labels=["late:0", "late:1"],
+                deadline=0.2,
+            )
+            assert [r.state for r in records] == [CANCELLED, CANCELLED]
+            results = parallel_map(
+                square, [(i,) for i in range(6)], jobs=coordinator.address
+            )
+            assert results == [i * i for i in range(6)]
+            assert coordinator.metrics.counter("dist.degraded").value == 0
+            # A late answer can land after that run, while the cluster idles.
+            deadline = time.monotonic() + 15
+            while any(w.current is not None for w in coordinator.workers):
+                assert time.monotonic() < deadline, "a worker stayed busy"
+                coordinator.poll()
+                time.sleep(0.05)
+        finally:
+            _reap(coordinator, procs)
+
+
 class TestDegradation:
     def test_no_workers_falls_back_in_process(self):
-        coordinator = get_cluster("127.0.0.1:0")
+        coordinator = get_cluster("127.0.0.1:0", connect_grace=0.2)
         try:
             metrics = Metrics()
             with activate(SpanTracer(metrics=metrics)):
-                results = distributed_map(
+                results = parallel_map(
                     square,
                     [(i,) for i in range(5)],
-                    addr=coordinator.address,
-                    connect_grace=0.2,
+                    jobs=coordinator.address,
                 )
             assert results == [i * i for i in range(5)]
             assert metrics.counter("dist.degraded").value == 1
@@ -457,8 +504,9 @@ class TestDegradation:
 # ----------------------------------------------------------------------
 _GRID_SCRIPT = """
 import json, sys
-from repro.runtime.distributed import distributed_map, get_cluster, \\
-    spawn_loopback_worker, shutdown_clusters
+from repro.runtime.distributed import get_cluster, spawn_loopback_worker, \\
+    shutdown_clusters
+from repro.runtime.pool import parallel_map
 
 marker_dir, ledger_dir, repo_root = sys.argv[1:4]
 import os
@@ -467,10 +515,10 @@ coordinator = get_cluster("127.0.0.1:0")
 proc = spawn_loopback_worker(coordinator.address, extra_pythonpath=[repo_root])
 from tests.runtime.test_distributed import slow_marked_square
 tasks = [(i, marker_dir, 0.4) for i in range(8)]
-results = distributed_map(
+results = parallel_map(
     slow_marked_square,
     tasks,
-    addr=coordinator.address,
+    jobs=coordinator.address,
     paths=[("grid", i) for i in range(8)],
 )
 print("RESULTS " + json.dumps(results), flush=True)

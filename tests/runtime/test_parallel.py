@@ -1,17 +1,19 @@
 """Parallel execution semantics: fan-out is invisible in results,
 first-verdict cancellation works, and worker metrics merge back."""
 
+import hashlib
+
 import pytest
 
 from repro.baselines import binary_threshold_protocol, majority_protocol
-from repro.core import Multiset, decide
+from repro.core import Multiset, NonConvergenceError, decide
+from repro.core.scheduler import UniformPairScheduler
 from repro.observability.metrics import MetricsObserver
-from repro.runtime.pool import (
-    decide_parallel,
-    merge_worker_metrics,
-    parallel_map,
-    resolve_jobs,
-)
+from repro.observability.observer import CompositeObserver
+from repro.observability.spans import SpanTracer, activate
+from repro.observability.trace import TraceRecorder
+from repro.runtime.cache import cached_transition_table
+from repro.runtime.pool import merge_worker_metrics, parallel_map, resolve_jobs
 
 
 def square(x):
@@ -81,34 +83,163 @@ class TestDecideParallelDeterminism:
         assert decide(pp, config, **kwargs) == sequential
 
 
+#: Inputs of the decide pins: protocol, configuration, simulate keywords,
+#: seeds.  The small interaction budgets make some attempts run out, so
+#: the pins cover verdicts on attempts 0, 1 and 2 and a call that raises.
+PIN_CASES = {
+    "binary5": (
+        lambda: binary_threshold_protocol(5), {"p0": 7}, dict(max_interactions=40),
+        (3, 9, 0),
+    ),
+    "majority": (
+        majority_protocol, {"X": 6, "Y": 3}, dict(max_interactions=9),
+        (0, 1, 8),
+    ),
+}
+
+
+def _digest(value) -> str:
+    return hashlib.blake2b(repr(value).encode(), digest_size=8).hexdigest()
+
+
+def _observed_decide(case: str, seed: int, *, jobs):
+    """One traced, observed ``decide`` call reduced to what the pins
+    compare: the verdict (or the error text), the ``(kind, step)`` event
+    stream (length and digest), the counters (attempts, interactions and
+    a digest of all of them) and the span tree's names and counts."""
+    make, config, kwargs, _ = PIN_CASES[case]
+    pp = make()
+    cached_transition_table(pp)  # a cold compile adds a cache:table span
+    recorder, metrics = TraceRecorder(), MetricsObserver()
+    tracer = SpanTracer()
+    with activate(tracer):
+        try:
+            outcome = decide(
+                pp, Multiset(config), seed=seed, attempts=3, jobs=jobs,
+                observer=CompositeObserver(recorder, metrics), **kwargs,
+            )
+        except NonConvergenceError as exc:
+            outcome = str(exc)
+    events = [(event.kind, event.step) for event in recorder.events]
+    counters = metrics.metrics.to_dict()["counters"]
+    return (
+        outcome,
+        len(events),
+        _digest(events),
+        counters.get("attempts"),
+        counters.get("interactions"),
+        _digest(sorted(counters.items())),
+        tracer.structure(),
+    )
+
+
+def _tree(attempts: int):
+    return (
+        "", 0,
+        (("decide", 1, tuple(
+            (f"attempt:{i}", 1, (("simulate", 1, ()),)) for i in range(attempts)
+        )),),
+    )
+
+
+#: ``decide`` at jobs=1, recorded before the executors were unified.
+#: The e2e harness's traced replay of compiled-sweep reads this stream.
+DECIDE_PINS = {
+    ("binary5", 3): (True, 156, "090f49756fa16dfd", 2, 73, "0d95ac31611b92df", _tree(2)),
+    ("binary5", 9): (True, 210, "413c5343bba373fc", 3, 102, "0faab4e9d2c81583", _tree(3)),
+    ("binary5", 0): (
+        "protocol 'binary-threshold(k=5)' did not stabilise on |C|=7 "
+        "within the budget (3 attempts)",
+        250, "2ac266d0eae8902c", 3, 120, "d814fa7b78b65e80", _tree(3),
+    ),
+    ("majority", 0): (True, 23, "1c4e25e90a3352b1", 1, 9, "220b38ed106f498e", _tree(1)),
+    ("majority", 1): (True, 40, "f745736ec25f9116", 2, 16, "832e023e4a450267", _tree(2)),
+    ("majority", 8): (True, 44, "f357fa9ee871528c", 2, 18, "b82068ba8929e38f", _tree(2)),
+}
+
+
+class TestDecidePins:
+    @pytest.mark.parametrize("case,seed", sorted(DECIDE_PINS))
+    def test_jobs1_stream_counters_and_spans(self, case, seed):
+        assert _observed_decide(case, seed, jobs=1) == DECIDE_PINS[case, seed]
+
+    @pytest.mark.parametrize("case,seed", sorted(DECIDE_PINS))
+    def test_jobs2_verdict_and_span_shape(self, case, seed):
+        pinned = DECIDE_PINS[case, seed]
+        observed = _observed_decide(case, seed, jobs=2)
+        assert observed[0] == pinned[0]
+        assert observed[-1] == pinned[-1]
+
+    def _slow(self, **kwargs):
+        return decide(
+            binary_threshold_protocol(5),
+            Multiset({"p0": 5_000}),
+            seed=0,
+            jobs=1,
+            scheduler=UniformPairScheduler(),
+            max_interactions=500_000_000,
+            convergence_window=400_000_000,
+            **kwargs,
+        )
+
+    def test_deadline_message(self):
+        with pytest.raises(NonConvergenceError) as info:
+            self._slow(attempts=3, deadline=0.05)
+        assert str(info.value) == (
+            "protocol 'binary-threshold(k=5)' did not stabilise on |C|=5000: "
+            "wall-clock deadline exceeded during attempt 1 of 3"
+        )
+
+    def test_all_timed_out_message(self):
+        with pytest.raises(NonConvergenceError) as info:
+            self._slow(attempts=2, timeout=0.05)
+        assert str(info.value) == (
+            "protocol 'binary-threshold(k=5)' did not stabilise on |C|=5000 "
+            "within the budget (2 attempts, 2 timed out)"
+        )
+
+
 class TestDecideParallelCancellation:
-    def test_first_verdict_wins_and_rest_cancelled(self):
-        # Plenty of attempts, few workers: the first attempt's verdict
-        # must land before most attempts ever start, so they cancel.
+    @staticmethod
+    def _accounted(jobs, attempts):
         pp = binary_threshold_protocol(5)
         config = Multiset({"p0": 7})
         stats = {}
-        verdict = decide_parallel(
+        verdict = decide(
             pp,
             config,
-            base=0,
-            attempts=12,
-            jobs=2,
+            seed=0,
+            attempts=attempts,
+            jobs=jobs,
             stats=stats,
             max_interactions=200_000,
             convergence_window=20_000,
         )
         assert verdict is True
-        assert stats["launched"] == 12
-        assert stats["cancelled"] > 0
+        assert sorted(stats) == sorted(
+            ["launched", "completed", "cancelled", "failed", "retries", "degraded"]
+        )
+        assert stats["launched"] == attempts
         assert stats["completed"] >= 1
-        # Every launched attempt is accounted for: no orphaned workers
-        # (the executor shutdown inside decide_parallel waits on the rest).
+        # Every launched attempt is accounted for: no orphaned workers.
         assert (
             stats["completed"] + stats["cancelled"] + stats["failed"]
             == stats["launched"]
         )
         assert stats["failed"] == 0
+        return stats
+
+    def test_first_verdict_wins_and_rest_cancelled(self):
+        # Plenty of attempts, few workers: the first attempt's verdict
+        # must land before most attempts ever start, so they cancel.
+        stats = self._accounted(jobs=2, attempts=12)
+        assert stats["cancelled"] > 0
+
+    @pytest.mark.parametrize("jobs,attempts", [(1, 12), (2, 1)], ids=["jobs1", "single"])
+    def test_accounting_on_every_executor(self, jobs, attempts):
+        stats = self._accounted(jobs=jobs, attempts=attempts)
+        assert stats["cancelled"] == attempts - 1  # the verdict is attempt 0's
+        assert stats["retries"] == stats["degraded"] == 0
 
 
 class TestMetricsMerge:
