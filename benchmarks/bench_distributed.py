@@ -1,10 +1,11 @@
 """Distributed runtime benchmarks: loopback dispatch overhead.
 
-The distributed coordinator's promise is that sharding work over TCP
+The distributed coordinator's promise is that dealing work over TCP
 costs almost nothing when the work itself dominates.  Headline numbers:
 
 * ``dist.loopback.ops_per_second`` — simulation runs per second through
-  one loopback worker, gated by ``bench --check``;
+  one loopback worker, gated by ``bench --check`` (which compares a
+  ``--suite distributed`` run only on the baseline gauges it records);
 * ``dist.dispatch_overhead_ratio`` — distributed wall-clock over the
   *in-worker* compute time of the same run (each task self-times around
   the real workload), min over rounds; asserted ``<= 1.10`` in-suite.

@@ -238,7 +238,7 @@ def _jobs_value(text: str):
 
 def _run_worker(argv: Tuple[str, ...]) -> int:
     """``python -m repro worker`` — join a distributed coordinator and
-    execute sharded tasks until dismissed."""
+    execute its tasks until dismissed."""
     parser = argparse.ArgumentParser(
         prog="python -m repro worker",
         description="Connect to a repro coordinator and execute tasks.",
@@ -255,36 +255,13 @@ def _run_worker(argv: Tuple[str, ...]) -> int:
         help="shared artifact-cache directory (sets REPRO_CACHE_DIR so "
         "compiled artifacts warm from disk instead of recompiling)",
     )
-    parser.add_argument(
-        "--heartbeat",
-        type=float,
-        default=2.0,
-        help="seconds between busy heartbeats (default: 2)",
-    )
-    parser.add_argument(
-        "--max-tasks",
-        type=int,
-        default=None,
-        help="exit after this many tasks (default: until dismissed)",
-    )
-    parser.add_argument(
-        "--connect-retry",
-        type=float,
-        default=10.0,
-        help="seconds to keep retrying the initial connect (default: 10)",
-    )
     args = parser.parse_args(argv)
     if args.cache_dir:
         os.environ["REPRO_CACHE_DIR"] = args.cache_dir
 
     from repro.runtime.distributed import run_worker
 
-    executed = run_worker(
-        args.connect,
-        heartbeat=args.heartbeat,
-        max_tasks=args.max_tasks,
-        connect_retry=args.connect_retry,
-    )
+    executed = run_worker(args.connect)
     print(f"worker: executed {executed} task(s)")
     return 0
 
@@ -967,37 +944,47 @@ BENCH_SUITES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def _compare_bench(new_path: Path, baseline_path: Path, tolerance: float) -> int:
+def _compare_bench(new_path: Path, baseline_path: Path, tolerance: float, suite: str) -> int:
     """Exit status of the regression gate: compare every
     ``*.ops_per_second`` gauge in ``new_path`` against ``baseline_path``.
 
     A gauge fails when the fresh value drops below ``baseline × (1 −
-    tolerance)``; a gauge present in the baseline but missing from the
-    fresh run also fails (a silently skipped benchmark must not read as a
-    pass).  Gauges new in the fresh run are reported but never fail.
+    tolerance)``.  The ``core`` and ``all`` suites must record every
+    baseline gauge: one missing from the fresh run fails (a silently
+    skipped benchmark must not read as a pass).  Any other suite runs
+    part of the baseline, so it is compared on the baseline gauges it
+    recorded, and fails when it recorded none.  Gauges new in the fresh
+    run are reported but never fail.
     """
     new = json.loads(new_path.read_text(encoding="utf-8")).get("gauges", {})
     base = json.loads(baseline_path.read_text(encoding="utf-8")).get("gauges", {})
+    complete = suite in ("core", "all")
     failures = []
+    compared = 0
     for name in sorted(base):
         if not name.endswith(".ops_per_second") or base[name] in (None, 0):
             continue
         fresh = new.get(name)
         if fresh is None:
-            failures.append(f"{name}: missing from fresh run")
-            print(f"FAIL {name}: baseline {base[name]:.1f}, missing from fresh run")
+            if complete:
+                failures.append(f"{name}: missing from fresh run")
+                print(f"FAIL {name}: baseline {base[name]:.1f}, missing from fresh run")
             continue
+        compared += 1
         ratio = fresh / base[name]
         status = "ok" if ratio >= 1.0 - tolerance else "FAIL"
         print(
             f"{status:>4} {name}: {fresh:.1f} vs baseline {base[name]:.1f} "
-            f"({ratio:+.1%} of baseline)"
+            f"({ratio:.1%} of baseline)"
         )
         if status == "FAIL":
             failures.append(f"{name}: {ratio:.1%} of baseline")
     for name in sorted(set(new) - set(base)):
         if name.endswith(".ops_per_second") and new[name] is not None:
             print(f" new {name}: {new[name]:.1f} (no baseline)")
+    if not complete and not compared:
+        failures.append(f"suite {suite!r} recorded no baseline gauge")
+        print(f"FAIL suite {suite!r}: recorded none of the baseline gauges")
     if failures:
         print(
             f"\nbench check FAILED ({len(failures)} gauge(s) regressed beyond "
@@ -1110,7 +1097,7 @@ def _run_bench(argv: Tuple[str, ...]) -> int:
         return 2
     print(f"\nwrote {out}")
     if args.check:
-        return _compare_bench(out, baseline, args.tolerance)
+        return _compare_bench(out, baseline, args.tolerance, args.suite)
     return 0
 
 

@@ -256,8 +256,8 @@ class TelemetryServer:
 
     def render_health(self) -> str:
         """The ``/healthz`` body: first line ``ok``, then one
-        ``worker <peer> pid=<pid> <busy|idle> age=<s>`` line per connected
-        worker when a distributed coordinator is attached."""
+        ``worker <peer> pid=<pid> <busy|idle> age=<s>`` line per
+        handshaken worker when a distributed coordinator is attached."""
         lines = ["ok"]
         cluster = self.cluster() if callable(self.cluster) else self.cluster
         if cluster is not None:

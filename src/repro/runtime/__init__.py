@@ -25,10 +25,10 @@ reproducibility:
   the parent registry; :func:`repro.core.simulation.decide` runs its
   attempts on the same executors;
 * :mod:`repro.runtime.distributed` — the TCP executor
-  (:class:`~repro.runtime.distributed.Cluster`): a work-stealing
-  coordinator, workers (``python -m repro worker``),
-  heartbeats/leases/re-dispatch, and graceful degradation to running
-  in-process;
+  (:class:`~repro.runtime.distributed.Cluster`): a coordinator dealing
+  tasks from one queue in task order, workers (``python -m repro
+  worker``), heartbeats/leases/re-dispatch, and the same fallback to
+  running in-process as the pool;
 * :mod:`repro.runtime.ledger` — the resumable on-disk journal of
   completed ``(task_path, result)`` pairs, keyed by provenance
   fingerprint, that lets an interrupted grid restart without redoing
@@ -82,7 +82,6 @@ __all__ = [
     "resolve_jobs",
     "resolve_dispatch",
     "Coordinator",
-    "NoWorkersError",
     "Cluster",
     "get_cluster",
     "run_worker",
@@ -98,7 +97,6 @@ __all__ = [
 _DISTRIBUTED = {
     "Cluster",
     "Coordinator",
-    "NoWorkersError",
     "get_cluster",
     "run_worker",
     "spawn_loopback_worker",

@@ -2,11 +2,11 @@
 
 :mod:`repro.runtime.pool` defines the executor ``run`` that every
 fan-out calls; this module implements it across machines.  A
-*coordinator* (the driver process) shards independent tasks — Monte
-Carlo ``decide`` attempts, experiment-grid cells — over any number of
-*workers* connected over TCP, with work stealing, and the results are
-**bit-identical to sequential execution** because nothing about a task
-depends on where or when it ran:
+*coordinator* (the calling process) deals independent tasks — Monte
+Carlo ``decide`` attempts, experiment-grid cells — from one queue, in
+task order, to any number of *workers* connected over TCP, and the
+results are **bit-identical to sequential execution** because nothing
+about a task depends on where or when it ran:
 
 * tasks are addressed by their deterministic
   :class:`~repro.runtime.seeds.SeedTree` paths, never by scheduling
@@ -41,17 +41,20 @@ workers must import the same code; arguments and results cross by value.
 Resilience ladder (the same contract as the hardened pool — same
 verdict, degraded speed):
 
-1. a worker that disconnects or stops heartbeating mid-task has its
-   leased tasks requeued and re-dispatched to surviving workers;
-2. a task leased longer than ``lease_timeout`` plus
-   :data:`~repro.runtime.pool.OVERRUN_GRACE` is re-dispatched to another
-   worker (first result wins; duplicates are dropped — results are
+1. a worker that disconnects or stops heartbeating mid-task loses its
+   lease, and the task goes back to the front of the queue;
+2. a task leased longer than its ``lease_timeout`` (default
+   :data:`LEASE_TIMEOUT`) plus :data:`~repro.runtime.pool.OVERRUN_GRACE`
+   goes back to the front of the queue too, while its holder keeps it
+   (first result wins; duplicates are dropped — results are
    deterministic, so either copy is the right answer);
-3. when *no* workers remain (or none connect within ``connect_grace``),
-   the remaining tasks run in-process — so the answer is always the
-   ``jobs=1`` answer.
+3. whenever no handshaken worker remains — none within
+   :data:`CONNECT_GRACE`, every one lost, the coordinator closed, or
+   ``run`` re-entered from a task running here — the unfinished tasks go
+   to :func:`~repro.runtime.pool.run_here`, the call the process pool
+   degrades to, so the answer is always the ``jobs=1`` answer.
 
-``dist.*`` counters (dispatches, steals, requeues, lease expiries, lost
+``dist.*`` counters (dispatches, requeues, lease expiries, lost
 workers, ledger hits, degradations) land on the cluster's own metrics
 registry and on any ambient tracer registry, and worker liveness is
 exposed on ``python -m repro serve``'s ``/healthz``.
@@ -69,7 +72,8 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.observability import spans as _spans
 from repro.observability.metrics import Metrics
@@ -80,10 +84,10 @@ from repro.runtime.pool import (
     LEASED,
     OVERRUN_GRACE,
     PENDING,
-    InProcess,
     TaskRecord,
     make_records,
     open_records,
+    run_here,
     run_task,
     settle,
 )
@@ -97,14 +101,20 @@ _HEADER = struct.Struct(">4sI")
 #: prefix must not look like a 4 GiB read).
 MAX_FRAME = 256 * 1024 * 1024
 
+#: A task's lease when ``run`` is given no ``lease_timeout``.
+LEASE_TIMEOUT = 300.0
+#: A busy worker heartbeats every :data:`HEARTBEAT_INTERVAL` seconds and
+#: is presumed dead after :data:`HEARTBEAT_TIMEOUT` seconds of silence.
+HEARTBEAT_INTERVAL = 2.0
+HEARTBEAT_TIMEOUT = 15.0
+#: How long ``run`` waits for a first worker before running the tasks here.
+CONNECT_GRACE = 5.0
+#: How long a worker keeps retrying its first connect to the coordinator.
+CONNECT_RETRY = 10.0
+
 
 class ProtocolError(RuntimeError):
     """The peer sent bytes that are not a valid frame."""
-
-
-class NoWorkersError(RuntimeError):
-    """No workers connected within the grace period — callers degrade to
-    the in-process pool."""
 
 
 # ----------------------------------------------------------------------
@@ -119,34 +129,9 @@ def send_frame(sock: socket.socket, message: Dict[str, Any]) -> None:
     sock.sendall(encode_frame(message))
 
 
-def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Read exactly one frame from a blocking socket (``None`` on EOF)."""
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    magic, length = _HEADER.unpack(header)
-    if magic != _MAGIC or length > MAX_FRAME:
-        raise ProtocolError(f"bad frame header {header!r}")
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        return None
-    return pickle.loads(payload)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    chunks: List[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 class FrameDecoder:
-    """Incremental decoder for the coordinator's non-blocking reads."""
+    """Incremental frame decoder: the coordinator feeds it non-blocking
+    reads, a worker reads its blocking socket through it."""
 
     def __init__(self) -> None:
         self._buffer = b""
@@ -157,13 +142,22 @@ class FrameDecoder:
         while len(self._buffer) >= _HEADER.size:
             magic, length = _HEADER.unpack(self._buffer[: _HEADER.size])
             if magic != _MAGIC or length > MAX_FRAME:
-                raise ProtocolError("bad frame header from worker")
+                raise ProtocolError("bad frame header")
             end = _HEADER.size + length
             if len(self._buffer) < end:
                 break
             messages.append(pickle.loads(self._buffer[_HEADER.size : end]))
             self._buffer = self._buffer[end:]
         return messages
+
+    def read(self, sock: socket.socket) -> Iterator[Dict[str, Any]]:
+        """The frames arriving on the blocking socket ``sock``, until EOF
+        (a frame cut short by EOF is dropped)."""
+        while True:
+            data = sock.recv(1 << 20)
+            if not data:
+                return
+            yield from self.feed(data)
 
 
 def parse_address(addr: str) -> Tuple[str, int]:
@@ -182,7 +176,7 @@ def format_address(host: str, port: int) -> str:
 class WorkerHandle:
     """Coordinator-side state of one connected worker."""
 
-    __slots__ = ("sock", "peer", "decoder", "info", "ready", "last_seen", "current", "queue")
+    __slots__ = ("sock", "peer", "decoder", "info", "ready", "last_seen", "current")
 
     def __init__(self, sock: socket.socket, peer: Tuple[str, int]):
         self.sock = sock
@@ -192,35 +186,25 @@ class WorkerHandle:
         self.ready = False  # hello received
         self.last_seen = time.monotonic()
         self.current: Optional[TaskRecord] = None
-        self.queue: deque = deque()  # this worker's shard (steal target)
 
 
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
 class Coordinator:
-    """Shard tasks over TCP workers with work stealing and leases.
+    """Deal tasks to TCP workers from one queue, in task order, under
+    leases.
 
     The coordinator owns a listening socket from construction; workers
-    may connect at any time (including mid-run — they join the pool and
-    steal work).  All socket handling is single-threaded inside
+    may connect at any time (including mid-run — they take the next
+    queued task).  All socket handling is single-threaded inside
     :meth:`run`; between runs, connected workers are idle and silent
     (heartbeats flow only while a worker is busy), so no background
     thread is needed.
     """
 
-    def __init__(
-        self,
-        bind: str = "127.0.0.1:0",
-        *,
-        lease_timeout: float = 300.0,
-        heartbeat_timeout: float = 15.0,
-        connect_grace: float = 5.0,
-    ):
+    def __init__(self, bind: str = "127.0.0.1:0"):
         host, port = parse_address(bind)
-        self.lease_timeout = lease_timeout
-        self.heartbeat_timeout = heartbeat_timeout
-        self.connect_grace = connect_grace
         self.metrics = Metrics()
         self.workers: List[WorkerHandle] = []
         self._selector = selectors.DefaultSelector()
@@ -233,8 +217,7 @@ class Coordinator:
         self.host, self.port = self._listener.getsockname()[:2]
         self._io_lock = threading.Lock()  # run() vs idle poll() on the selector
         self._task_seq = 0  # globally unique ids: stale results never collide
-        self._requeued: deque = deque()
-        self._sinks: List[Metrics] = []
+        self._queue: deque = deque()  # the run's pending records, in task order
         self._running = False
         self._closed = False
 
@@ -257,33 +240,25 @@ class Coordinator:
         if self._closed or not self._io_lock.acquire(blocking=False):
             return
         try:
-            if self._running:
-                return
-            for key, _ in self._selector.select(timeout=0):
-                if key.data is None:
-                    self._accept()
-                else:
-                    self._handle_frames(key.data, self._read(key.data))
+            self._pump(0)
         finally:
             self._io_lock.release()
 
     def liveness(self) -> Dict[str, Any]:
-        """A point-in-time worker liveness snapshot (for ``/healthz``)."""
+        """A point-in-time snapshot of the handshaken workers (for
+        ``/healthz``)."""
         self.poll()
         now = time.monotonic()
-        workers = []
-        for w in list(self.workers):
-            try:
-                workers.append(
-                    {
-                        "peer": format_address(*w.peer),
-                        "pid": w.info.get("pid"),
-                        "busy": w.current is not None,
-                        "last_seen_age": round(now - w.last_seen, 3),
-                    }
-                )
-            except Exception:
-                continue
+        workers = [
+            {
+                "peer": format_address(*w.peer),
+                "pid": w.info.get("pid"),
+                "busy": w.current is not None,
+                "last_seen_age": round(now - w.last_seen, 3),
+            }
+            for w in list(self.workers)
+            if w.ready
+        ]
         return {"address": self.address, "alive": len(workers), "workers": workers}
 
     def close(self) -> None:
@@ -296,7 +271,7 @@ class Coordinator:
                 send_frame(worker.sock, {"type": "bye"})
             except OSError:
                 pass
-            self._drop_worker(worker, requeue=False)
+            self._drop_worker(worker)
         try:
             self._selector.unregister(self._listener)
         except (KeyError, ValueError):
@@ -306,9 +281,11 @@ class Coordinator:
 
     # -- metrics ---------------------------------------------------------
     def _count(self, name: str, amount: int = 1) -> None:
+        """Count ``name`` here and on the ambient tracer's registry."""
         self.metrics.counter(name).inc(amount)
-        for sink in self._sinks:
-            sink.counter(name).inc(amount)
+        tracer = _spans.current()
+        if tracer is not None and tracer.metrics is not None:
+            tracer.metrics.counter(name).inc(amount)
 
     # -- connection handling ---------------------------------------------
     def _accept(self) -> None:
@@ -323,7 +300,7 @@ class Coordinator:
             self.workers.append(worker)
             self._selector.register(sock, selectors.EVENT_READ, worker)
 
-    def _drop_worker(self, worker: WorkerHandle, *, requeue: bool = True) -> None:
+    def _drop_worker(self, worker: WorkerHandle) -> None:
         if worker not in self.workers:
             return
         self.workers.remove(worker)
@@ -337,21 +314,14 @@ class Coordinator:
             pass
         if worker.ready and not self._closed:
             self._count("dist.workers_lost")
-        record = worker.current
-        worker.current = None
-        if record is not None and record.state == LEASED and requeue:
+        record, worker.current = worker.current, None
+        if record is not None and record.state == LEASED:
             # The worker died holding a lease: the task is pure, so it
-            # simply goes back in the queue for someone else.
+            # goes back to the front of the queue for someone else.
             record.state = PENDING
             record.lease_start = None
-            self._requeued.append(record)
+            self._queue.appendleft(record)
             self._count("dist.requeued")
-        # Unstarted shard entries drain back through stealing: move them
-        # to the global requeue so no task is stranded with a dead owner.
-        while worker.queue:
-            entry = worker.queue.popleft()
-            if entry.state == PENDING:
-                self._requeued.append(entry)
 
     def _read(self, worker: WorkerHandle) -> List[Dict[str, Any]]:
         try:
@@ -371,36 +341,16 @@ class Coordinator:
             self._drop_worker(worker)
             return []
 
-    # -- dispatch / stealing ---------------------------------------------
-    def _next_record(self, worker: WorkerHandle) -> Optional[TaskRecord]:
-        while self._requeued:
-            record = self._requeued.popleft()
-            if record.state == PENDING:
-                return record
-        while worker.queue:
-            record = worker.queue.popleft()
-            if record.state == PENDING:
-                return record
-        # Work stealing: raid the tail of the most-loaded sibling's shard
-        # (the tail, so the owner keeps its own head-of-queue locality).
-        victim = max(
-            (w for w in self.workers if w is not worker and w.queue),
-            key=lambda w: len(w.queue),
-            default=None,
-        )
-        while victim is not None and victim.queue:
-            record = victim.queue.pop()
-            if record.state == PENDING:
-                self._count("dist.steals")
-                return record
-        return None
-
-    def _dispatch(self, worker: WorkerHandle, fn: Callable, trace: bool) -> bool:
+    # -- dispatch --------------------------------------------------------
+    def _dispatch(self, worker: WorkerHandle, fn: Callable, trace: bool) -> None:
+        """Lease the first pending record in the queue to an idle worker."""
         if worker.current is not None or not worker.ready:
-            return False
-        record = self._next_record(worker)
-        if record is None:
-            return False
+            return
+        while self._queue and self._queue[0].state != PENDING:
+            self._queue.popleft()  # settled or cancelled since it was queued
+        if not self._queue:
+            return
+        record = self._queue.popleft()
         message = {
             "type": "task",
             "id": record.id,
@@ -417,31 +367,13 @@ class Coordinator:
                 worker.sock.setblocking(False)
         except OSError:
             # The send found the corpse before the select loop did.
-            record.state = PENDING
-            self._requeued.appendleft(record)
+            self._queue.appendleft(record)
             self._drop_worker(worker)
-            return False
+            return
         record.state = LEASED
         record.lease_start = time.monotonic()
         worker.current = record
         self._count("dist.dispatched")
-        return True
-
-    def _wait_for_workers(self, grace: float) -> None:
-        deadline = time.monotonic() + max(0.0, grace)
-        while True:
-            if any(w.ready for w in self.workers):
-                return
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise NoWorkersError(
-                    f"no workers connected to {self.address} within {grace:g}s"
-                )
-            for key, _ in self._selector.select(timeout=min(remaining, 0.1)):
-                if key.data is None:
-                    self._accept()
-                else:
-                    self._handle_frames(key.data, self._read(key.data))
 
     def _handle_frames(
         self, worker: WorkerHandle, messages: List[Dict[str, Any]]
@@ -467,12 +399,16 @@ class Coordinator:
             # unknown kinds are ignored: forward compatibility
         return results
 
-    # -- local (degraded) execution --------------------------------------
-    def _run_local(
-        self, fn: Callable, record: TaskRecord, trace: bool, ledger: Optional[TaskLedger]
-    ) -> None:
-        self._count("dist.local_tasks")
-        settle(record, run_task(fn, record.args, record.label, trace), "local", ledger)
+    def _pump(self, timeout: float) -> List[Dict[str, Any]]:
+        """One select round: accept connections, read every readable
+        worker, and return the result frames that arrived."""
+        results: List[Dict[str, Any]] = []
+        for key, _ in self._selector.select(timeout=timeout):
+            if key.data is None:
+                self._accept()
+            else:
+                results.extend(self._handle_frames(key.data, self._read(key.data)))
+        return results
 
     # -- the run loop -----------------------------------------------------
     def run(
@@ -488,27 +424,19 @@ class Coordinator:
         deadline: Optional[float] = None,
         lease_timeout: Optional[float] = None,
     ) -> List[TaskRecord]:
-        """Execute ``fn(*task)`` for every task, sharded across workers —
-        the executor ``run`` of :mod:`repro.runtime.pool`.
+        """Execute ``fn(*task)`` for every task on the workers — the
+        executor ``run`` of :mod:`repro.runtime.pool`.
 
+        An idle worker takes the first pending task in task order.
         ``early_stop(records)`` — checked after every completion —
         cancels all not-yet-leased tasks when it returns true (leased ones
         are drained; their results still count).  A task leased longer
-        than ``lease_timeout`` plus the grace is re-dispatched; tasks
-        unfinished at ``deadline`` plus the grace are cancelled.  Raises
-        :class:`NoWorkersError` before doing any work if no worker is
-        available, so the caller can fall back to running in-process.
+        than ``lease_timeout`` (default :data:`LEASE_TIMEOUT`) plus the
+        grace is dispatched again; tasks unfinished at ``deadline`` plus
+        the grace are cancelled.  Whatever is unfinished when no
+        handshaken worker remains runs here, through
+        :func:`~repro.runtime.pool.run_here`.
         """
-        if self._closed:
-            raise NoWorkersError(f"coordinator {self.address} is closed")
-        if self._running:
-            raise NoWorkersError("re-entrant distributed run")  # caller falls back
-        lease = OVERRUN_GRACE + (
-            lease_timeout if lease_timeout is not None else self.lease_timeout
-        )
-        give_up_at = (
-            time.monotonic() + deadline + OVERRUN_GRACE if deadline is not None else None
-        )
         records = make_records(tasks, paths, labels, self._task_seq)
         self._task_seq += len(records)
         todo = open_records(records, ledger)
@@ -516,6 +444,51 @@ class Coordinator:
             self._count("dist.ledger_hits", len(records) - len(todo))
         if not todo:
             return records
+        deadline_at = time.monotonic() + deadline if deadline is not None else None
+
+        def finish_here() -> None:
+            rest = [r for r in todo if r.state in (PENDING, LEASED)]
+            if rest:
+                self._count("dist.degraded")
+                run_here(
+                    fn,
+                    rest,
+                    records,
+                    trace=trace,
+                    ledger=ledger,
+                    early_stop=early_stop,
+                    deadline_at=deadline_at,
+                )
+
+        if self._running:  # re-entered from a task running here, or another thread
+            finish_here()
+            return records
+        with self._io_lock:
+            self._running = True
+            try:
+                self._serve(fn, todo, records, trace, ledger, early_stop, deadline_at, lease_timeout)
+                finish_here()
+            finally:
+                self._running = False
+                self._queue.clear()
+        return records
+
+    def _serve(
+        self,
+        fn: Callable[..., Any],
+        todo: List[TaskRecord],
+        records: List[TaskRecord],
+        trace: bool,
+        ledger: Optional[TaskLedger],
+        early_stop: Optional[Callable[[List[TaskRecord]], bool]],
+        deadline_at: Optional[float],
+        lease_timeout: Optional[float],
+    ) -> None:
+        """Deal ``todo`` to the workers until every record is settled or
+        cancelled, or no handshaken worker is left."""
+        give_up_at = deadline_at + OVERRUN_GRACE if deadline_at is not None else None
+        lease = OVERRUN_GRACE + (lease_timeout if lease_timeout is not None else LEASE_TIMEOUT)
+        self._queue = deque(todo)
         open_ids = {record.id: record for record in todo}
 
         def cancel(*states: str) -> None:
@@ -523,101 +496,48 @@ class Coordinator:
                 if r.state in states:
                     r.state = CANCELLED
                     self._count("dist.cancelled")
-            self._requeued.clear()
 
-        # Ambient metrics sinks for dist.* counters (tracer registry).
-        tracer = _spans.current()
-        self._sinks = (
-            [tracer.metrics]
-            if tracer is not None and tracer.metrics is not None
-            else []
-        )
-        self._io_lock.acquire()
-        self._running = True
-        try:
-            self._wait_for_workers(self.connect_grace)
-            # Contiguous sharding over the workers present at launch;
-            # late joiners start empty and steal.
-            ready = [w for w in self.workers if w.ready]
-            shard = max(1, (len(todo) + len(ready) - 1) // len(ready))
-            for i, worker in enumerate(ready):
-                worker.queue = deque(todo[i * shard : (i + 1) * shard])
-            for worker in ready:
+        grace_end = time.monotonic() + CONNECT_GRACE
+        while not (self._closed or self.workers_alive()) and time.monotonic() < grace_end:
+            self._pump(grace_end - time.monotonic())
+        stopped = False
+        while self.workers_alive() and any(r.state in (PENDING, LEASED) for r in todo):
+            if give_up_at is not None and time.monotonic() >= give_up_at:
+                cancel(PENDING, LEASED)
+                return
+            for worker in list(self.workers):
                 self._dispatch(worker, fn, trace)
-
-            stopped = False
-            while any(r.state in (PENDING, LEASED) for r in todo):
-                if give_up_at is not None and time.monotonic() >= give_up_at:
-                    cancel(PENDING, LEASED)
-                    break
-                events = self._selector.select(timeout=0.1)
-                for key, _ in events:
-                    if key.data is None:
-                        self._accept()
-                        continue
-                    worker = key.data
-                    for message in self._handle_frames(worker, self._read(worker)):
-                        record = open_ids.get(message.get("id"))
-                        if record is None or record.state == DONE:
-                            self._count("dist.duplicates")  # re-dispatch race
-                            continue
-                        settle(record, message, "worker", ledger)
-                        self._count("dist.completed")
-                        if early_stop is not None and not stopped and early_stop(records):
-                            stopped = True
-                            cancel(PENDING)
-                # Heartbeat staleness: a busy worker that has gone silent
-                # is presumed dead; its lease requeues above.
-                now = time.monotonic()
-                for worker in list(self.workers):
-                    if (
-                        worker.current is not None
-                        and now - worker.last_seen > self.heartbeat_timeout
-                    ):
-                        self._count("dist.heartbeat_expired")
-                        self._drop_worker(worker)
-                # Lease expiry: the worker is alive but the task has held
-                # its lease too long — re-offer it elsewhere; first result
-                # wins and the straggler's copy is dropped as a duplicate.
-                for record in todo:
-                    if (
-                        record.state == LEASED
-                        and record.lease_start is not None
-                        and now - record.lease_start > lease
-                        and record.redispatched < 2
-                    ):
-                        record.redispatched += 1
-                        record.lease_start = now
-                        record.state = PENDING  # re-queue; holder may still answer
-                        self._requeued.append(record)
-                        self._count("dist.lease_expired")
-                for worker in list(self.workers):
-                    self._dispatch(worker, fn, trace)
-                # Everyone is gone: finish the job in-process (the same
-                # degradation ladder as the hardened pool, one rung up).
-                if not any(w.ready for w in self.workers):
-                    remaining = [r for r in todo if r.state in (PENDING, LEASED)]
-                    if remaining and not stopped:
-                        self._count("dist.degraded")
-                    for record in remaining:
-                        if stopped:
-                            # Post-verdict leftovers never ran anywhere:
-                            # they are cancellations, not stragglers.
-                            record.state = CANCELLED
-                            self._count("dist.cancelled")
-                            continue
-                        self._run_local(fn, record, trace, ledger)
-                        if early_stop is not None and early_stop(records):
-                            stopped = True
-                            cancel(PENDING)
-        finally:
-            self._running = False
-            self._io_lock.release()
-            self._sinks = []
-            self._requeued.clear()
-            for worker in self.workers:
-                worker.queue = deque()
-        return records
+            for message in self._pump(0.1):
+                record = open_ids.get(message.get("id"))
+                if record is None or record.state == DONE:
+                    self._count("dist.duplicates")  # re-dispatch race
+                    continue
+                settle(record, message, "worker", ledger)
+                self._count("dist.completed")
+                if early_stop is not None and not stopped and early_stop(records):
+                    stopped = True
+                    cancel(PENDING)
+            # Heartbeat staleness: a busy worker that has gone silent is
+            # presumed dead; its lease goes back to the queue.
+            now = time.monotonic()
+            for worker in list(self.workers):
+                if worker.current is not None and now - worker.last_seen > HEARTBEAT_TIMEOUT:
+                    self._count("dist.heartbeat_expired")
+                    self._drop_worker(worker)
+            # Lease expiry: the worker is alive but the task has held its
+            # lease too long — offer it again; first result wins and the
+            # straggler's copy is dropped as a duplicate.
+            for record in todo:
+                if (
+                    record.state == LEASED
+                    and now - record.lease_start > lease
+                    and record.redispatched < 2
+                ):
+                    record.redispatched += 1
+                    record.lease_start = now
+                    record.state = PENDING  # the holder may still answer
+                    self._queue.appendleft(record)
+                    self._count("dist.lease_expired")
 
 
 # ----------------------------------------------------------------------
@@ -627,7 +547,7 @@ _CLUSTERS: Dict[str, Coordinator] = {}
 _CLUSTERS_LOCK = threading.Lock()
 
 
-def get_cluster(addr: str, **kwargs: Any) -> Coordinator:
+def get_cluster(addr: str) -> Coordinator:
     """The process-wide coordinator listening on ``addr`` (bound lazily on
     first use and reused by every subsequent dispatch to the same
     address, so workers stay connected across calls)."""
@@ -635,7 +555,7 @@ def get_cluster(addr: str, **kwargs: Any) -> Coordinator:
     with _CLUSTERS_LOCK:
         coordinator = _CLUSTERS.get(key)
         if coordinator is None or coordinator._closed:
-            coordinator = Coordinator(key, **kwargs)
+            coordinator = Coordinator(key)
             _CLUSTERS[key] = coordinator
             # An ephemeral bind (":0") is registered under its actual port
             # too, so `coordinator.address` round-trips through get_cluster.
@@ -661,8 +581,7 @@ def shutdown_clusters() -> None:
 
 class Cluster:
     """The TCP executor behind a ``"host:port"`` target: the process-wide
-    coordinator at ``addr`` runs the tasks; with no worker to run them the
-    in-process executor does, and ``dist.degraded`` counts the fallback."""
+    coordinator at ``addr`` runs the tasks."""
 
     def __init__(self, addr: str):
         self.addr = addr
@@ -671,30 +590,16 @@ class Cluster:
     def run(
         self, fn: Callable[..., Any], tasks: Sequence[Tuple], **kwargs: Any
     ) -> List[TaskRecord]:
-        coordinator = get_cluster(self.addr)
-        try:
-            return coordinator.run(fn, tasks, **kwargs)
-        except NoWorkersError:
-            coordinator.metrics.counter("dist.degraded").inc()
-            tracer = _spans.current()
-            if tracer is not None and tracer.metrics is not None:
-                tracer.metrics.counter("dist.degraded").inc()
-            return InProcess().run(fn, tasks, **kwargs)
+        return get_cluster(self.addr).run(fn, tasks, **kwargs)
 
 
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
-def run_worker(
-    addr: str,
-    *,
-    heartbeat: float = 2.0,
-    max_tasks: Optional[int] = None,
-    connect_retry: float = 10.0,
-) -> int:
+def run_worker(addr: str) -> int:
     """Connect to the coordinator at ``addr`` and execute tasks until it
-    says goodbye (or ``max_tasks`` tasks have run).  Returns the number
-    of tasks executed.
+    says goodbye or the connection ends.  Returns the number of tasks
+    executed.
 
     The worker is a leaf of the fan-out tree: it pins ``REPRO_JOBS=1`` so
     task functions that consult the environment never nest pools, and it
@@ -706,13 +611,13 @@ def run_worker(
     """
     os.environ["REPRO_JOBS"] = "1"
     host, port = parse_address(addr)
-    sock = _connect_with_retry(host, port, connect_retry)
+    sock = _connect_with_retry(host, port)
     send_lock = threading.Lock()
     current_id: List[Optional[int]] = [None]
     stop = threading.Event()
 
     def _heartbeats() -> None:
-        while not stop.wait(heartbeat):
+        while not stop.wait(HEARTBEAT_INTERVAL):
             task_id = current_id[0]
             if task_id is None:
                 continue
@@ -737,14 +642,11 @@ def run_worker(
     beat.start()
     executed = 0
     try:
-        while True:
-            try:
-                message = recv_frame(sock)
-            except (ProtocolError, pickle.UnpicklingError, EOFError, OSError):
+        for message in FrameDecoder().read(sock):
+            kind = message.get("type")
+            if kind == "bye":
                 break
-            if message is None or message.get("type") == "bye":
-                break
-            if message.get("type") != "task":
+            if kind != "task":
                 continue
             current_id[0] = message["id"]
             response = {
@@ -758,14 +660,11 @@ def run_worker(
                 ),
             }
             current_id[0] = None
-            try:
-                with send_lock:
-                    send_frame(sock, response)
-            except OSError:
-                break
+            with send_lock:
+                send_frame(sock, response)
             executed += 1
-            if max_tasks is not None and executed >= max_tasks:
-                break
+    except (ProtocolError, pickle.UnpicklingError, EOFError, OSError):
+        pass  # the coordinator is gone, or sent bytes that are not frames
     finally:
         stop.set()
         try:
@@ -775,8 +674,8 @@ def run_worker(
     return executed
 
 
-def _connect_with_retry(host: str, port: int, window: float) -> socket.socket:
-    deadline = time.monotonic() + max(0.0, window)
+def _connect_with_retry(host: str, port: int) -> socket.socket:
+    deadline = time.monotonic() + CONNECT_RETRY
     delay = 0.05
     while True:
         try:
@@ -792,10 +691,7 @@ def _connect_with_retry(host: str, port: int, window: float) -> socket.socket:
 
 
 def spawn_loopback_worker(
-    addr: str,
-    *,
-    extra_pythonpath: Sequence[str] = (),
-    env: Optional[Dict[str, str]] = None,
+    addr: str, *, extra_pythonpath: Sequence[str] = ()
 ) -> subprocess.Popen:
     """Start a ``python -m repro worker`` subprocess connected to
     ``addr`` — the loopback convenience used by ``repro coordinate
@@ -805,8 +701,8 @@ def spawn_loopback_worker(
     ``PYTHONPATH`` (after ``src``), so tasks defined in test/benchmark
     modules unpickle by reference inside the worker.
     """
-    worker_env = dict(os.environ if env is None else env)
-    src = str(_repo_src())
+    worker_env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2])
     parts = [src, *map(str, extra_pythonpath)]
     if worker_env.get("PYTHONPATH"):
         parts.append(worker_env["PYTHONPATH"])
@@ -817,9 +713,3 @@ def spawn_loopback_worker(
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-
-
-def _repo_src() -> str:
-    from pathlib import Path
-
-    return str(Path(__file__).resolve().parents[2])

@@ -2,6 +2,7 @@
 grew or shrank under churn must pickle cleanly, and change hooks and
 accepting counts must re-attach exactly on the other side."""
 
+import os
 import pickle
 
 from repro.baselines import binary_threshold_protocol, majority_protocol
@@ -21,8 +22,9 @@ def _resize(config):
 
 def _echo_roundtrip(config):
     """Module-level pool task: return the shipped config's observable
-    state so the parent can compare against the original."""
-    return (type(config).__name__, dict(config.items()), config.size)
+    state, and the pid that saw it, so the parent can compare against
+    the original."""
+    return (type(config).__name__, dict(config.items()), config.size, os.getpid())
 
 
 class TestMultisetResizeRoundtrip:
@@ -57,12 +59,13 @@ class TestMultisetResizeRoundtrip:
 
     def test_resized_config_crosses_a_real_pool(self):
         config = self._resized()
-        [(kind, counts, size)] = parallel_map(
-            _echo_roundtrip, [(config,)], jobs=2
-        )
-        assert kind == "Multiset"
-        assert counts == dict(config.items())
-        assert size == config.size
+        # Two tasks: a single one would run in-process, pickling nothing.
+        echoes = parallel_map(_echo_roundtrip, [(config,), (config,)], jobs=2)
+        for kind, counts, size, pid in echoes:
+            assert kind == "Multiset"
+            assert counts == dict(config.items())
+            assert size == config.size
+            assert pid != os.getpid()
 
 
 class TestDenseConfigResizeRoundtrip:
@@ -116,9 +119,9 @@ class TestDenseConfigResizeRoundtrip:
 
     def test_resized_dense_crosses_a_real_pool(self):
         _, _, dense, _ = self._resized()
-        [(kind, counts, size)] = parallel_map(
-            _echo_roundtrip, [(dense,)], jobs=2
-        )
-        assert kind == "DenseConfig"
-        assert counts == dict(dense.items())
-        assert size == dense.size
+        echoes = parallel_map(_echo_roundtrip, [(dense,), (dense,)], jobs=2)
+        for kind, counts, size, pid in echoes:
+            assert kind == "DenseConfig"
+            assert counts == dict(dense.items())
+            assert size == dense.size
+            assert pid != os.getpid()

@@ -1,7 +1,8 @@
 """The distributed runtime: wire framing, the resumable task ledger,
-loopback bit-equivalence against sequential execution, and the
-resilience ladder (worker loss, lease expiry, no-worker degradation,
-coordinator crash + resume)."""
+loopback bit-equivalence against sequential execution, dispatch in task
+order, the resilience ladder (worker loss, lease expiry, losing every
+worker, no-worker degradation, coordinator crash + resume), and the
+worker lines of ``/healthz``."""
 
 import os
 import pickle
@@ -16,17 +17,17 @@ import pytest
 
 from repro.baselines import binary_threshold_protocol
 from repro.core import Multiset, decide
+from repro.observability.live import TelemetryServer
 from repro.observability.metrics import Metrics
 from repro.observability.spans import SpanTracer, activate
+from repro.runtime import distributed
 from repro.runtime.distributed import (
     Coordinator,
     FrameDecoder,
-    NoWorkersError,
     encode_frame,
     format_address,
     get_cluster,
     parse_address,
-    recv_frame,
     send_frame,
     spawn_loopback_worker,
 )
@@ -69,6 +70,14 @@ def slow_marked_square(x, marker_dir, delay):
 
 def slow_square(x, delay):
     time.sleep(delay)
+    return x * x
+
+
+def exit_unless_home(x, home_pid):
+    """Square ``x`` in the calling process; kill any other process that
+    runs it, as a worker crash would."""
+    if os.getpid() != home_pid:
+        os._exit(1)
     return x * x
 
 
@@ -133,7 +142,7 @@ class TestFraming:
         try:
             message = {"type": "task", "id": 7, "args": (1, "x"), "blob": b"\x00" * 1000}
             send_frame(a, message)
-            assert recv_frame(b) == message
+            assert next(FrameDecoder().read(b)) == message
         finally:
             a.close()
             b.close()
@@ -164,7 +173,7 @@ class TestFraming:
         try:
             a.sendall(encode_frame({"k": 1})[:5])
             a.close()
-            assert recv_frame(b) is None
+            assert list(FrameDecoder().read(b)) == []
         finally:
             b.close()
 
@@ -352,6 +361,16 @@ class TestLoopbackEquivalence:
         assert decide(pp, config, **kwargs) == sequential
         assert cluster.metrics.counter("dist.dispatched").value > dispatched_before
 
+    def test_dispatch_follows_task_order(self, cluster, tmp_path):
+        marker_dir = tmp_path / "markers"
+        tasks = [(i, str(marker_dir), 0.3) for i in range(4)]
+        assert parallel_map(
+            slow_marked_square, tasks, jobs=cluster.address
+        ) == [i * i for i in range(4)]
+        markers = sorted(marker_dir.iterdir(), key=lambda p: p.stat().st_mtime_ns)
+        first_two = {int(p.name.split("-")[0][len("task"):]) for p in markers[:2]}
+        assert first_two == {0, 1}
+
     def test_ledger_skips_journalled_tasks(self, cluster, tmp_path):
         tasks = [(i, str(tmp_path / "markers")) for i in range(6)]
         paths = [("grid", i) for i in range(6)]
@@ -461,8 +480,9 @@ class TestWorkerLoss:
 
 
 class TestDegradation:
-    def test_no_workers_falls_back_in_process(self):
-        coordinator = get_cluster("127.0.0.1:0", connect_grace=0.2)
+    def test_no_workers_falls_back_in_process(self, monkeypatch):
+        monkeypatch.setattr(distributed, "CONNECT_GRACE", 0.2)
+        coordinator = get_cluster("127.0.0.1:0")
         try:
             metrics = Metrics()
             with activate(SpanTracer(metrics=metrics)):
@@ -476,8 +496,9 @@ class TestDegradation:
         finally:
             coordinator.close()
 
-    def test_no_workers_decide_falls_back(self):
-        coordinator = get_cluster("127.0.0.1:0", connect_grace=0.2)
+    def test_no_workers_decide_falls_back(self, monkeypatch):
+        monkeypatch.setattr(distributed, "CONNECT_GRACE", 0.2)
+        coordinator = get_cluster("127.0.0.1:0")
         try:
             pp = binary_threshold_protocol(5)
             config = Multiset({"p0": 7})
@@ -495,8 +516,46 @@ class TestDegradation:
     def test_closed_coordinator_still_answers(self):
         coordinator = Coordinator("127.0.0.1:0")
         coordinator.close()
-        with pytest.raises(NoWorkersError):
-            coordinator.run(square, [(1,)], paths=[("t", 0)], labels=["t"])
+        records = coordinator.run(square, [(1,)], paths=[("t", 0)], labels=["t"])
+        assert [r.envelope["result"] for r in records] == [1]
+
+    def test_losing_every_worker_finishes_here(self):
+        # Each worker dies on its first task; the run finishes in-process.
+        coordinator = get_cluster("127.0.0.1:0")
+        procs = _spawn_workers(coordinator, 2)
+        try:
+            metrics = Metrics()
+            tasks = [(i, os.getpid()) for i in range(4)]
+            with activate(SpanTracer(metrics=metrics)):
+                results = parallel_map(
+                    exit_unless_home, tasks, jobs=coordinator.address
+                )
+            assert results == parallel_map(exit_unless_home, tasks, jobs=1)
+            assert coordinator.metrics.counter("dist.workers_lost").value == 2
+            assert metrics.counter("dist.degraded").value == 1
+        finally:
+            _reap(coordinator, procs)
+
+
+class TestLiveness:
+    def test_healthz_lists_handshaken_workers_only(self):
+        coordinator = get_cluster("127.0.0.1:0")
+        procs = _spawn_workers(coordinator, 1)
+        bare = socket.create_connection((coordinator.host, coordinator.port))
+        try:
+            deadline = time.monotonic() + 15
+            while len(coordinator.workers) < 2:  # the bare connection too
+                assert time.monotonic() < deadline, "bare connect not accepted"
+                coordinator.poll()
+                time.sleep(0.05)
+            assert coordinator.liveness()["alive"] == coordinator.workers_alive() == 1
+            health = TelemetryServer(cluster=coordinator).render_health()
+            ok, line = health.splitlines()
+            assert ok == "ok" and line.startswith("worker 127.0.0.1:")
+            assert f" pid={procs[0].pid} idle age=" in line
+        finally:
+            bare.close()
+            _reap(coordinator, procs)
 
 
 # ----------------------------------------------------------------------
