@@ -77,7 +77,7 @@ def test_prometheus_render_throughput(benchmark, bench_metrics):
 
 def test_span_adoption_throughput(benchmark, bench_metrics):
     """Adopting a 100-span worker payload, as ``decide`` does once per
-    attempt that ran in a pool or cluster worker."""
+    attempt that ran in a pool worker."""
     worker = SpanTracer()
     with worker.span("attempt:0"):
         for i in range(99):

@@ -34,10 +34,6 @@ Usage::
     python -m repro serve decide --smoke       # CI: probe endpoints, exit
     python -m repro top http://127.0.0.1:9100  # live span-tree terminal view
 
-    python -m repro coordinate --workers 2 lemma4   # distributed experiment run
-    python -m repro worker --connect HOST:PORT      # join a coordinator
-    python -m repro --jobs HOST:PORT ...            # dispatch any driver remotely
-
 ``trace``/``stats``/``serve`` targets are the observed reference
 workloads of :mod:`repro.observability.runners` (the Theorem 3 program,
 a baseline protocol simulation, the lowered machine, the compilation
@@ -223,144 +219,6 @@ FULL: Dict[str, Callable[[], str]] = {
 }
 
 
-def _jobs_value(text: str):
-    """Argparse type for ``--jobs``: an integer pool width, or a
-    ``host:port`` distributed-coordinator address."""
-    if ":" in text:
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'host:port', got {text!r}"
-        )
-
-
-def _run_worker(argv: Tuple[str, ...]) -> int:
-    """``python -m repro worker`` — join a distributed coordinator and
-    execute its tasks until dismissed."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro worker",
-        description="Connect to a repro coordinator and execute tasks.",
-    )
-    parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address to join",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="shared artifact-cache directory (sets REPRO_CACHE_DIR so "
-        "compiled artifacts warm from disk instead of recompiling)",
-    )
-    args = parser.parse_args(argv)
-    if args.cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-
-    from repro.runtime.distributed import run_worker
-
-    executed = run_worker(args.connect)
-    print(f"worker: executed {executed} task(s)")
-    return 0
-
-
-def _run_coordinate(argv: Tuple[str, ...]) -> int:
-    """``python -m repro coordinate`` — run experiments on a distributed
-    cluster: bind a coordinator, optionally spawn loopback workers, point
-    ``REPRO_JOBS`` at the cluster, and run the experiment loop."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro coordinate",
-        description="Run experiments sharded across distributed workers.",
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        help=f"experiment ids to run (default: quick set); known: "
-        f"{', '.join(sorted(FULL))}",
-    )
-    parser.add_argument(
-        "--bind",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help="coordinator bind address (default: 127.0.0.1:0, ephemeral port)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="loopback worker subprocesses to spawn (default: 2; 0 = none — "
-        "wait for remote `repro worker --connect` joins instead)",
-    )
-    parser.add_argument(
-        "--full", action="store_true", help="run the behavioural experiments too"
-    )
-    parser.add_argument(
-        "--ledger-dir",
-        default=None,
-        help="journal completed tasks here (sets REPRO_LEDGER_DIR) so an "
-        "interrupted run resumes without redoing finished work",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="wall-clock budget in seconds per simulation/program run "
-        "(sets REPRO_DEADLINE)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("auto", "legacy", "fast", "batched"),
-        default=None,
-        help="simulation engine family (sets REPRO_ENGINE; default: auto)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.experiments:
-        unknown = [e for e in args.experiments if e not in FULL]
-        if unknown:
-            parser.error(f"unknown experiments: {unknown}")
-        selected = {name: FULL[name] for name in args.experiments}
-    else:
-        selected = FULL if args.full else QUICK
-
-    if args.ledger_dir:
-        os.environ["REPRO_LEDGER_DIR"] = args.ledger_dir
-    if args.engine is not None:
-        os.environ["REPRO_ENGINE"] = args.engine
-    if args.deadline is not None:
-        os.environ["REPRO_DEADLINE"] = str(args.deadline)
-
-    from repro.runtime.distributed import get_cluster, spawn_loopback_worker
-
-    coordinator = get_cluster(args.bind)
-    print(f"coordinator listening on {coordinator.address}")
-    procs = [
-        spawn_loopback_worker(coordinator.address) for _ in range(args.workers)
-    ]
-    if procs:
-        print(f"spawned {len(procs)} loopback worker(s)")
-    os.environ["REPRO_JOBS"] = coordinator.address
-    try:
-        for name, runner in selected.items():
-            print(f"\n=== {name} " + "=" * max(0, 60 - len(name)))
-            start = time.time()
-            print(runner())
-            print(
-                f"--- {name} done in {time.time() - start:.1f}s "
-                f"({coordinator.workers_alive()} worker(s) alive)"
-            )
-    finally:
-        coordinator.close()
-        for proc in procs:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-    return 0
-
-
 def _run_chaos(argv: Tuple[str, ...]) -> int:
     """X4/X5 — fault and churn recovery (``python -m repro chaos``).
 
@@ -402,10 +260,9 @@ def _run_chaos(argv: Tuple[str, ...]) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_value,
+        type=int,
         default=None,
-        help="process-pool width for the trial fan-out (0 = all cores, "
-        "host:port = distributed cluster)",
+        help="process-pool width for the trial fan-out (0 = all cores)",
     )
     parser.add_argument(
         "--out",
@@ -533,11 +390,10 @@ def _observe_parser(command: str) -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_value,
+        type=int,
         default=None,
         help="process-pool width for parallelisable targets (sets "
-        "REPRO_JOBS; 0 = all cores, default 1 = sequential, "
-        "host:port = distributed cluster)",
+        "REPRO_JOBS; 0 = all cores, default 1 = sequential)",
     )
     parser.add_argument(
         "--deadline",
@@ -669,10 +525,10 @@ def _run_serve(argv: Tuple[str, ...]) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_value,
+        type=int,
         default=None,
         help="process-pool width for parallelisable targets (sets REPRO_JOBS; "
-        "host:port = distributed cluster)",
+        "0 = all cores, default 1 = sequential)",
     )
     parser.add_argument(
         "--linger",
@@ -699,13 +555,10 @@ def _run_serve(argv: Tuple[str, ...]) -> int:
     metrics = MetricsObserver()
     bus = EventBus()
     tracer = SpanTracer(metrics=metrics.metrics, listener=bus.publish_span)
-    from repro.runtime.distributed import active_cluster
-
     server = TelemetryServer(
         metrics=metrics.metrics,
         tracer=tracer,
         bus=bus,
-        cluster=active_cluster,
         host=args.host,
         port=args.port,
     )
@@ -930,13 +783,11 @@ BENCH_SUITES: Dict[str, Tuple[str, ...]] = {
     "churn": ("bench_churn_recovery.py",),
     "observability": ("bench_observability.py",),
     "batched": ("bench_batched_engine.py",),
-    "distributed": ("bench_distributed.py",),
     "statics": ("bench_statics.py",),
     "core": (
         "bench_simulator_performance.py",
         "bench_parallel_runtime.py",
         "bench_batched_engine.py",
-        "bench_distributed.py",
         "bench_statics.py",
         "bench_churn_recovery.py",
     ),
@@ -1038,11 +889,10 @@ def _run_bench(argv: Tuple[str, ...]) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_value,
+        type=int,
         default=None,
         help="process-pool width for the parallel-runtime benchmarks "
-        "(sets REPRO_JOBS in the pytest subprocess; 0 = all cores, "
-        "host:port = distributed cluster)",
+        "(sets REPRO_JOBS in the pytest subprocess; 0 = all cores)",
     )
     parser.add_argument(
         "--deadline",
@@ -1116,10 +966,6 @@ def main(argv: Tuple[str, ...] = tuple(sys.argv[1:])) -> int:
         return _run_serve(tuple(argv[1:]))
     if argv and argv[0] == "top":
         return _run_top(tuple(argv[1:]))
-    if argv and argv[0] == "worker":
-        return _run_worker(tuple(argv[1:]))
-    if argv and argv[0] == "coordinate":
-        return _run_coordinate(tuple(argv[1:]))
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's tables and figures.",
@@ -1135,11 +981,10 @@ def main(argv: Tuple[str, ...] = tuple(sys.argv[1:])) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_value,
+        type=int,
         default=None,
         help="process-pool width for parallelisable experiments (sets "
-        "REPRO_JOBS; 0 = all cores, default 1 = sequential, "
-        "host:port = distributed cluster)",
+        "REPRO_JOBS; 0 = all cores, default 1 = sequential)",
     )
     parser.add_argument(
         "--deadline",

@@ -17,7 +17,7 @@ One checker per IR, all reporting uniform
 The ``*_cached`` variants and the named-target registry used by
 ``python -m repro check`` live in :mod:`repro.analysis.statics.targets`;
 the source lint (``LNT*``) is the separate :mod:`repro.lint` package.
-The full code table is in DESIGN.md §12.
+The full code table is in DESIGN.md §11.
 """
 
 from repro.core.diagnostics import (

@@ -18,7 +18,7 @@ the saturation used in the state-complexity lower-bound line of work
 (Czerner–Esparza–Leroux, arXiv:2102.11619), where reachable states, dead
 transitions and certificate states are first-class objects.
 
-Diagnostic codes (table in DESIGN.md §12):
+Diagnostic codes (table in DESIGN.md §11):
 
 * ``PROT001`` (warning) — dead transition: its precondition pair is not
   simultaneously coverable from any initial configuration;

@@ -10,7 +10,7 @@ in the layering — so every producer can import it without cycles.
 A diagnostic has
 
 * a **code** — stable, grep-able identifier (``PRG003``, ``PROT001``,
-  ``MCH002``, ``LNT004``, …; the full table lives in DESIGN.md §12),
+  ``MCH002``, ``LNT004``, …; the full table lives in DESIGN.md §11),
 * a **severity** — ``error`` (the artifact is broken or an engine
   invariant failed), ``warning`` (almost certainly unintended: dead code,
   unwritten registers) or ``info`` (structural facts worth surfacing:

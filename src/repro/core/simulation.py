@@ -515,7 +515,7 @@ def decide(
     seed: int | None = None,
     attempts: int = 3,
     observer: Observer | None = None,
-    jobs: int | str | None = None,
+    jobs: int | None = None,
     deadline: float | None = None,
     timeout: float | None = None,
     stats: dict | None = None,
@@ -570,7 +570,7 @@ def _decide(
     seed: int | None,
     attempts: int,
     observer: Observer | None,
-    jobs: int | str | None,
+    jobs: int | None,
     deadline: float | None,
     timeout: float | None,
     stats: dict | None,
@@ -583,8 +583,7 @@ def _decide(
     Attempt ``i`` runs on seed ``derive_seed(base, i)``, on the executor
     ``jobs`` names (:func:`repro.runtime.pool.resolve_dispatch`): ``1``
     (or ``None`` with ``REPRO_JOBS`` unset) runs them one by one in this
-    process, ``N`` across a process pool, ``"host:port"`` across the TCP
-    cluster there.  The verdict is the lowest-indexed attempt's that has
+    process, ``N`` across a process pool.  The verdict is the lowest-indexed attempt's that has
     one, so every executor returns the same verdict for a seed; once it
     is in, the attempts not yet started are cancelled.
 
@@ -598,8 +597,8 @@ def _decide(
     ``stats``, when passed, receives ``launched`` / ``completed`` /
     ``cancelled`` / ``failed`` counts of attempts (every launched one
     lands in exactly one of the other three), ``retries`` (process-pool
-    rebuilds) and ``degraded`` (attempts a pool or cluster handed back to
-    this process).
+    rebuilds) and ``degraded`` (attempts a pool handed back to this
+    process).
     """
     from repro.runtime import pool
 
@@ -625,7 +624,6 @@ def _decide(
     records = executor.run(
         attempt_fn,
         [(protocol, config, seeds[a], kwargs, a, timeout, until) for a in range(attempts)],
-        paths=[("decide", base, a) for a in range(attempts)],
         labels=[f"attempt:{a}" for a in range(attempts)],
         early_stop=pool.decide_settled,
         deadline=deadline,

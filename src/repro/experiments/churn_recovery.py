@@ -329,7 +329,7 @@ def run_churn_recovery(
     churn_length: int = 200_000,
     join_rate: float = 5e-5,
     leave_rate: float = 5e-5,
-    jobs: Optional[int | str] = None,
+    jobs: Optional[int] = None,
     probe: bool = True,
 ) -> ChurnRecoveryReport:
     """The X5 driver: boundary totals × both variants × several trials,
@@ -349,7 +349,6 @@ def run_churn_recovery(
         "leave_rate": leave_rate,
     }
     tasks = []
-    paths = []
     for error_checking in (True, False):
         for total in totals:
             for trial in range(trials_per_total):
@@ -366,10 +365,7 @@ def run_churn_recovery(
                         plan_args,
                     )
                 )
-                paths.append(("churn", int(error_checking), total, trial))
-    outcomes: List[ChurnTrialOutcome] = parallel_map(
-        churn_recovery_task, tasks, jobs=jobs, paths=paths
-    )
+    outcomes: List[ChurnTrialOutcome] = parallel_map(churn_recovery_task, tasks, jobs=jobs)
     tallies: Dict[bool, Tuple[int, int]] = {True: (0, 0), False: (0, 0)}
     for outcome in outcomes:
         correct, total_count = tallies[outcome.error_checking]

@@ -106,7 +106,7 @@ def run_convergence(
     trials: int = 3,
     seed: int = 0,
     max_steps: int = 20_000_000,
-    jobs: int | str | None = None,
+    jobs: int | None = None,
 ) -> ConvergenceReport:
     """Sweep (n, m, trial); ``jobs`` fans the samples across a process
     pool (identical results to sequential for the same seed — each
@@ -131,7 +131,6 @@ def run_convergence(
         measure_convergence_task,
         tasks,
         jobs=jobs,
-        paths=[("convergence", n, m, trial) for n, m, trial in grid],
     )
     return ConvergenceReport(samples)
 

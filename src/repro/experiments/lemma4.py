@@ -169,7 +169,7 @@ def run_lemma4(
     seed: int = 0,
     quiet_window: int = 20_000,
     max_steps: int = 2_000_000,
-    jobs: Optional[int | str] = None,
+    jobs: Optional[int] = None,
 ) -> Lemma4Report:
     """Check Lemma 4 on all (or ``sample`` random) configurations of the
     given total.
@@ -201,7 +201,6 @@ def run_lemma4(
             tasks,
             jobs=jobs,
             span_labels=[f"config:{index}" for index in range(len(configs))],
-            paths=[("lemma4", index) for index in range(len(configs))],
         )
     return Lemma4Report(n=n, total=total, trials=trials)
 

@@ -62,7 +62,7 @@ class Table1Report:
         return render_table(header, rows)
 
 
-def run_table1(max_n: int = 6, *, jobs: int | str | None = None) -> Table1Report:
+def run_table1(max_n: int = 6, *, jobs: int | None = None) -> Table1Report:
     """Regenerate Table 1; ``jobs`` fans the per-``n`` row constructions
     (each a full build-and-count of four protocol families) across a
     process pool.  Rows are deterministic, so parallel output is
@@ -77,7 +77,6 @@ def run_table1(max_n: int = 6, *, jobs: int | str | None = None) -> Table1Report
             [(n,) for n in range(1, max_n + 1)],
             jobs=jobs,
             span_labels=[f"row:n{n}" for n in range(1, max_n + 1)],
-            paths=[("table1", n) for n in range(1, max_n + 1)],
         )
     return Table1Report(rows=rows)
 

@@ -60,7 +60,7 @@ def run_theorem1_end_to_end(
     convergence_window: int = 300_000,
     pipeline: Optional[PipelineResult] = None,
     offsets: tuple = (-1, 0),
-    jobs: int | str | None = None,
+    jobs: int | None = None,
 ) -> List[EndToEndTrial]:
     """Sample the n=1 protocol's decisions just below / at its shifted
     threshold ``k_1 + |F|``.
@@ -99,7 +99,6 @@ def run_theorem1_end_to_end(
         end_to_end_task,
         tasks,
         jobs=jobs,
-        paths=[("theorem1", offset) for offset in offsets],
     )
 
 

@@ -92,7 +92,7 @@ def run_theorem3_decisions(
     seed: int = 0,
     quiet_window: int | None = None,
     max_steps: int = 50_000_000,
-    jobs: int | str | None = None,
+    jobs: int | None = None,
 ) -> List[DecisionTrial]:
     """Sample program decisions around the threshold boundary.
 
@@ -123,7 +123,6 @@ def run_theorem3_decisions(
         decide_threshold_task,
         tasks,
         jobs=jobs,
-        paths=[("theorem3", n, total) for total in totals],
     )
 
 

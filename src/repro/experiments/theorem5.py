@@ -18,10 +18,15 @@ from repro.core.semantics import apply_transition_inplace
 from repro.experiments.report import render_table
 from repro.lipton.construction import build_threshold_program
 from repro.machines.interpreter import machine_successors
+from repro.machines.lowering import lower_program
 from repro.programs.examples import figure1_program, simple_threshold_program
+from repro.programs.size import program_size
 from repro.conversion.mapping import inverse_pi, pi
 from repro.conversion.pipeline import PipelineResult, compile_program
-from repro.conversion.protocol_from_machine import proposition16_state_bound
+from repro.conversion.protocol_from_machine import (
+    convert_machine,
+    proposition16_state_bound,
+)
 
 
 @dataclass
@@ -42,6 +47,13 @@ class ConversionRow:
 def conversion_rows(
     builders: Optional[List] = None,
 ) -> List[ConversionRow]:
+    """One size row per ``(name, make_program)`` builder.
+
+    Each program is lowered and converted, but not broadcast: the output
+    broadcast lifts every inner state to exactly two opinion states, so
+    |Q'| = 2·|Q*| is read off the conversion, at a fraction of the
+    memory a full :func:`compile_program` takes on ``lipton-n2``.
+    """
     if builders is None:
         builders = [
             ("thr2", lambda: simple_threshold_program(2)),
@@ -52,16 +64,19 @@ def conversion_rows(
         ]
     rows = []
     for name, make in builders:
-        result = compile_program(make(), name)
+        program = make()
+        machine = lower_program(program, name=f"{name}-machine")
+        conversion = convert_machine(machine, name=f"{name}-inner")
+        inner_states = conversion.protocol.state_count
         rows.append(
             ConversionRow(
                 name=name,
-                program_size=result.program_size.total,
-                machine_size=result.machine_size,
-                inner_states=result.inner_state_count,
-                bound=proposition16_state_bound(result.machine),
-                final_states=result.state_count,
-                shift=result.shift,
+                program_size=program_size(program).total,
+                machine_size=machine.size(),
+                inner_states=inner_states,
+                bound=proposition16_state_bound(machine),
+                final_states=2 * inner_states,
+                shift=conversion.shift,
             )
         )
     return rows

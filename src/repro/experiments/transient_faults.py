@@ -272,7 +272,7 @@ def run_transient_faults(
     fault_period: int = 120_000,
     fault_count: int = 3,
     fault_agents: int = 2,
-    jobs: Optional[int | str] = None,
+    jobs: Optional[int] = None,
     probe: bool = True,
 ) -> TransientFaultReport:
     """The X4 driver: boundary totals × both variants × several trials,
@@ -292,7 +292,6 @@ def run_transient_faults(
         "agents": fault_agents,
     }
     tasks = []
-    paths = []
     for error_checking in (True, False):
         for total in totals:
             for trial in range(trials_per_total):
@@ -309,10 +308,7 @@ def run_transient_faults(
                         plan_args,
                     )
                 )
-                paths.append(("transient", int(error_checking), total, trial))
-    outcomes: List[FaultTrialOutcome] = parallel_map(
-        transient_fault_task, tasks, jobs=jobs, paths=paths
-    )
+    outcomes: List[FaultTrialOutcome] = parallel_map(transient_fault_task, tasks, jobs=jobs)
     tallies: Dict[bool, Tuple[int, int]] = {True: (0, 0), False: (0, 0)}
     for outcome in outcomes:
         correct, total_count = tallies[outcome.error_checking]

@@ -3,7 +3,7 @@
 Each rule is a function ``(tree, path) -> List[Diagnostic]`` over one
 parsed module.  The rules are deliberately *syntactic* — no type
 inference — tuned so that a true positive is an invariant violation the
-distributed runtime actually depends on, and intentional exceptions are
+parallel runtime actually depends on, and intentional exceptions are
 marked ``# lint-ok: CODE`` at the offending line (see
 :mod:`repro.lint.engine`).
 
@@ -123,7 +123,7 @@ _UNPICKLABLE_CALLS = {
 _PICKLE_HOOKS = {"__reduce__", "__reduce_ex__", "__getstate__"}
 
 #: Package prefixes (relative to ``src/repro``) whose types cross the
-#: process-pool / distributed boundary.
+#: process-pool boundary.
 POOL_CROSSING_PREFIXES = (
     "core",
     "programs",
@@ -334,7 +334,7 @@ def rule_pool_pickle_safety(tree: ast.Module, path: str) -> List[Diagnostic]:
                     "LNT004",
                     f"class {node.name} stores a {name}(...) on instances "
                     "but defines no __reduce__/__getstate__: it will not "
-                    "survive the pool/distributed pickle boundary",
+                    "survive the process-pool pickle boundary",
                     path,
                     call,
                 )

@@ -22,10 +22,7 @@ Endpoints (all stdlib ``http.server``, no dependencies):
   dropped at the observer so a long run cannot saturate the stream);
 * ``/spans`` — the current aggregated span tree as JSON;
 * ``/manifest`` — the run's provenance manifest (when one was attached);
-* ``/healthz`` — liveness probe; first line is always ``ok``, and when a
-  distributed :class:`~repro.runtime.distributed.Coordinator` is attached
-  (:attr:`TelemetryServer.cluster`) subsequent ``worker <peer> <state>``
-  lines report per-worker liveness.
+* ``/healthz`` — liveness probe; the body is ``ok``.
 
 ``python -m repro serve`` wires this around a run; ``python -m repro
 top`` consumes ``/events`` + ``/spans`` and renders a refreshing span
@@ -144,10 +141,7 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         try:
             if path == "/healthz":
-                self._send(
-                    self.telemetry.render_health().encode("utf-8"),
-                    "text/plain; charset=utf-8",
-                )
+                self._send(b"ok\n", "text/plain; charset=utf-8")
             elif path == "/metrics":
                 text = self.telemetry.render_metrics()
                 self._send(
@@ -220,7 +214,6 @@ class TelemetryServer:
         tracer: Optional[SpanTracer] = None,
         bus: Optional[EventBus] = None,
         manifest: Any = None,
-        cluster: Any = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ):
@@ -228,12 +221,6 @@ class TelemetryServer:
         self.tracer = tracer
         self.bus = bus if bus is not None else EventBus()
         self.manifest = manifest
-        #: Optional :class:`repro.runtime.distributed.Coordinator` (or a
-        #: zero-argument callable resolving to one, e.g.
-        #: :func:`repro.runtime.distributed.active_cluster` — clusters are
-        #: created lazily, after the server starts); when attached,
-        #: ``/healthz`` reports per-worker liveness lines.
-        self.cluster = cluster
         self.host = host
         self._requested_port = port
         self.stopping = threading.Event()
@@ -253,28 +240,6 @@ class TelemetryServer:
             if self.tracer is None:
                 return {"name": "", "count": 0, "children": []}
             return self.tracer.tree()
-
-    def render_health(self) -> str:
-        """The ``/healthz`` body: first line ``ok``, then one
-        ``worker <peer> pid=<pid> <busy|idle> age=<s>`` line per
-        handshaken worker when a distributed coordinator is attached."""
-        lines = ["ok"]
-        cluster = self.cluster() if callable(self.cluster) else self.cluster
-        if cluster is not None:
-            try:
-                snapshot = cluster.liveness()
-            except Exception:
-                snapshot = {"workers": []}
-            for worker in snapshot.get("workers", []):
-                lines.append(
-                    "worker {peer} pid={pid} {state} age={age}".format(
-                        peer=worker.get("peer", "?"),
-                        pid=worker.get("pid", "?"),
-                        state="busy" if worker.get("busy") else "idle",
-                        age=worker.get("last_seen_age", "?"),
-                    )
-                )
-        return "\n".join(lines) + "\n"
 
     # -- lifecycle ------------------------------------------------------
     @property

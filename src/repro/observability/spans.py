@@ -16,7 +16,7 @@ Design constraints, mirroring the observer layer:
   lookup), never inside the per-interaction hot loops, so the fastpath's
   ``null_observer.overhead_ratio`` stays ≈ 1.0;
 * **cross-process merge, deterministically** — spans created inside pool
-  or cluster workers are serialised (:meth:`SpanTracer.to_payload`) back
+  workers are serialised (:meth:`SpanTracer.to_payload`) back
   through ``parallel_map`` and ``decide`` and re-rooted on the caller
   with :meth:`SpanTracer.adopt`, the same shape as ``Metrics.merge``.
   :meth:`SpanTracer.structure` reduces the tree to names and counts only

@@ -31,7 +31,7 @@ simulation stream — so ``(seed, plan)`` replays bit-identically, a plan
 without churn kinds binds to exactly the queue it always did, and an
 empty plan leaves a run bit-identical to an uninjected one.
 
-Per-engine resize strategy (see DESIGN.md §13 for the full story):
+Per-engine resize strategy (see DESIGN.md §12 for the full story):
 
 * a faulted run on a legacy scheduler executes on its fast twin, so the
   legacy loop never sees a resize;

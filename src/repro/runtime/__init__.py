@@ -23,23 +23,12 @@ reproducibility:
   fan-out on it, and per-worker
   :class:`~repro.observability.metrics.Metrics` aggregation back into
   the parent registry; :func:`repro.core.simulation.decide` runs its
-  attempts on the same executors;
-* :mod:`repro.runtime.distributed` — the TCP executor
-  (:class:`~repro.runtime.distributed.Cluster`): a coordinator dealing
-  tasks from one queue in task order, workers (``python -m repro
-  worker``), heartbeats/leases/re-dispatch, and the same fallback to
-  running in-process as the pool;
-* :mod:`repro.runtime.ledger` — the resumable on-disk journal of
-  completed ``(task_path, result)`` pairs, keyed by provenance
-  fingerprint, that lets an interrupted grid restart without redoing
-  finished work.
+  attempts on the same executors.
 
 ``jobs`` semantics everywhere: ``jobs=1`` (the default) runs the tasks
 in-process, one after another; ``jobs=None`` consults the ``REPRO_JOBS``
-environment variable (default 1); ``jobs=0`` means "all cores"; a
-``"host:port"`` string (argument or ``REPRO_JOBS``) dispatches to the
-distributed cluster at that address.  A single task runs in-process on
-every target.
+environment variable (default 1); ``jobs=0`` means "all cores".  A
+single task runs in-process whatever the width.
 """
 
 from repro.runtime.cache import (
@@ -51,7 +40,6 @@ from repro.runtime.cache import (
     program_fingerprint,
     protocol_fingerprint,
 )
-from repro.runtime.ledger import TaskLedger, job_fingerprint, resolve_ledger, task_key
 from repro.runtime.pool import (
     InProcess,
     ProcessPool,
@@ -81,31 +69,4 @@ __all__ = [
     "merge_worker_metrics",
     "resolve_jobs",
     "resolve_dispatch",
-    "Coordinator",
-    "Cluster",
-    "get_cluster",
-    "run_worker",
-    "spawn_loopback_worker",
-    "TaskLedger",
-    "task_key",
-    "job_fingerprint",
-    "resolve_ledger",
 ]
-
-#: Names of the TCP executor, loaded on first use: a fan-out that never
-#: targets a cluster never imports :mod:`repro.runtime.distributed`.
-_DISTRIBUTED = {
-    "Cluster",
-    "Coordinator",
-    "get_cluster",
-    "run_worker",
-    "spawn_loopback_worker",
-}
-
-
-def __getattr__(name: str):
-    if name in _DISTRIBUTED:
-        from repro.runtime import distributed
-
-        return getattr(distributed, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,11 +4,11 @@ Every fan-out in this repository — :func:`parallel_map` over an
 experiment grid, :func:`repro.core.simulation.decide` over its seeded
 attempts — hands a task list to one *executor* method::
 
-    run(fn, tasks, *, paths, labels, trace=False, ledger=None,
-        early_stop=None, deadline=None, lease_timeout=None) -> [TaskRecord]
+    run(fn, tasks, *, labels, trace=False, early_stop=None,
+        deadline=None, lease_timeout=None) -> [TaskRecord]
 
-and reads the outcome off the returned records, in task order.  Three
-executors implement it, all under the same determinism contract (a
+and reads the outcome off the returned records, in task order.  Two
+executors implement it, both under the same determinism contract (a
 task's result depends only on its own arguments, never on where or
 when it ran):
 
@@ -16,43 +16,37 @@ when it ran):
   process and context: no pickling, the caller's tracer and observer
   see everything.  This is ``jobs=1``, the reference path;
 * :class:`ProcessPool` — forked workers on this host, hardened against
-  crashed and hung workers (below);
-* the TCP cluster (:class:`repro.runtime.distributed.Cluster`) — workers
-  on any host, reached through a ``"host:port"`` target.
+  crashed and hung workers (below).
 
 :func:`resolve_dispatch` picks one from a ``jobs`` argument (see
 :func:`resolve_jobs` for ``None``/``0``).  A single task always runs
-in-process, whatever the target: neither a pool nor a cluster could
-overlap it with anything.
+in-process, whatever the width: a pool could not overlap it with
+anything.
 
-A task that runs away from the caller comes back in one envelope,
-built by :func:`run_task`: ``{"result", "spans"}`` or ``{"error",
+A task that runs in a worker comes back in one envelope, built by
+:func:`run_task`: ``{"result", "spans"}`` or ``{"error",
 "error_text"}``.  With ``trace`` the task runs under its own span
 tracer and the caller adopts its spans in task order, so ``jobs=N``
-span trees equal ``jobs=1`` trees.  A :class:`TaskLedger` makes a run
-resumable: journalled tasks are answered from it, fresh completions are
-journalled as they land (:func:`open_records`, :func:`settle`).
+span trees equal ``jobs=1`` trees.
 
-Time bounds mean the same on every executor.  ``deadline`` bounds the
-run: in-process, no task starts after it; elsewhere, a task still
+Time bounds mean the same on both executors.  ``deadline`` bounds the
+run: in-process, no task starts after it; in the pool, a task still
 running :data:`OVERRUN_GRACE` seconds past it is abandoned.  Abandoned
 and early-stopped tasks come back ``CANCELLED``.  ``lease_timeout`` is a
 task's own budget: the pool treats a task that overruns it by the grace
-as hung, the cluster re-dispatches it.
+as hung.
 
 The pool degrades rather than fails: a crashed worker
 (``BrokenProcessPool``) costs up to :data:`MAX_RETRIES` pool rebuilds
-with seed-derived jittered backoff, after the results that survived the
-crash are salvaged; a hung worker, or a crash once the retries are
-spent, sends the unfinished tasks to the in-process executor — same
-results, just slower.  ``pool.worker_failures`` / ``pool.retries`` /
+with jittered backoff, after the results that survived the crash are
+salvaged; a hung worker, or a crash once the retries are spent, sends
+the unfinished tasks to the in-process executor — same results, just
+slower.  ``pool.worker_failures`` / ``pool.retries`` /
 ``pool.degraded`` count these on the pool's :attr:`ProcessPool.metrics`.
 
-Start method: ``fork`` where the platform offers it (workers inherit the
-parent's warmed :mod:`~repro.runtime.cache` for free), else the platform
-default; override with ``REPRO_START_METHOD``.  Workers pin their own
-``REPRO_JOBS`` to 1, so a parallelised driver calling another
-parallelisable function never fans out a pool inside a pool.
+Workers start by :data:`START_METHOD`, and pin their own ``REPRO_JOBS``
+to 1, so a parallelised driver calling another parallelisable function
+never fans out a pool inside a pool.
 """
 
 from __future__ import annotations
@@ -75,7 +69,6 @@ from repro.observability import spans as _spans
 from repro.observability.metrics import Metrics, MetricsObserver
 from repro.observability.observer import CompositeObserver, Observer, live
 from repro.runtime.cache import artifact_cache, cached_transition_table
-from repro.runtime.ledger import TaskLedger, resolve_ledger, task_key
 from repro.runtime.seeds import derive_seed_path
 
 #: Seconds a task may run past its budget — its ``lease_timeout``, or the
@@ -83,9 +76,16 @@ from repro.runtime.seeds import derive_seed_path
 #: honours its budget returns within it; only one that ignores it is hung.
 OVERRUN_GRACE = 2.0
 #: Pool rebuilds after crashed workers, and the base of their backoff
-#: (``BACKOFF_BASE · 2^i`` plus a seed-derived jitter below it).
+#: (``BACKOFF_BASE · 2^i`` plus a seeded jitter below it).
 MAX_RETRIES = 2
 BACKOFF_BASE = 0.05
+#: ``fork`` where the platform offers it (workers inherit the parent's
+#: warmed :mod:`~repro.runtime.cache` for free), else the platform default.
+START_METHOD = (
+    "fork"
+    if "fork" in multiprocessing.get_all_start_methods()
+    else multiprocessing.get_all_start_methods()[0]
+)
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -102,113 +102,66 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, int(jobs))
 
 
-def resolve_dispatch(jobs: Any, tasks: int) -> Any:
-    """The executor that runs ``tasks`` tasks for a ``jobs`` argument.
-
-    A ``"host:port"`` string — the argument, or ``REPRO_JOBS`` when
-    ``jobs`` is ``None`` — names the TCP cluster at that address (the one
-    switch that turns every ``--jobs``-aware entry point into a
-    distributed one); a count above 1 a process pool; anything else, and
-    any run of a single task, the in-process executor.
+def resolve_dispatch(jobs: Optional[int], tasks: int) -> Any:
+    """The executor that runs ``tasks`` tasks for a ``jobs`` argument: a
+    process pool when :func:`resolve_jobs` gives more than one worker,
+    the in-process executor otherwise and for any run of a single task.
     """
-    target = os.environ.get("REPRO_JOBS", "") if jobs is None else jobs
     if tasks <= 1:
         return InProcess()
-    if isinstance(target, str):
-        target = target.strip()
-        if ":" in target:
-            from repro.runtime.distributed import Cluster
-
-            return Cluster(target)
-        try:
-            target = int(target) if target else None
-        except ValueError:
-            target = 1
-    count = resolve_jobs(target)
+    count = resolve_jobs(jobs)
     return ProcessPool(count) if count > 1 else InProcess()
 
 
 # ----------------------------------------------------------------------
-# Task records, envelopes and the ledger
+# Task records and envelopes
 # ----------------------------------------------------------------------
-PENDING, LEASED, DONE, CANCELLED = "pending", "leased", "done", "cancelled"
+PENDING, DONE, CANCELLED = "pending", "done", "cancelled"
 
 
 class RemoteTaskError(RuntimeError):
-    """A task raised away from the caller with an exception that could
-    not travel back; carries the remote traceback text."""
+    """A task raised in a worker with an exception that could not travel
+    back; carries the worker's traceback text."""
 
 
 class TaskRecord:
     """One task of a run and its lifecycle.  A finished run leaves every
     record ``DONE`` — ``envelope`` holds the result or the error, and
-    ``source`` says where it came from (``"worker"``, ``"local"`` or
-    ``"ledger"``) — or ``CANCELLED``."""
+    ``source`` says where it ran (``"pool"`` or ``"local"``) — or
+    ``CANCELLED``."""
 
-    __slots__ = (
-        "id", "index", "path", "key", "args", "label",
-        "state", "lease_start", "envelope", "source", "redispatched",
-    )
+    __slots__ = ("index", "args", "label", "state", "envelope", "source")
 
-    def __init__(self, id: int, index: int, path: Sequence[Any], args: Tuple, label: str):
-        self.id = id
+    def __init__(self, index: int, args: Tuple, label: str):
         self.index = index
-        self.path = tuple(path)
-        self.key = task_key(self.path)
         self.args = args
         self.label = label
         self.state = PENDING
-        self.lease_start: Optional[float] = None
         self.envelope: Optional[Dict[str, Any]] = None
         self.source: Optional[str] = None
-        self.redispatched = 0
+
+    def settle(self, envelope: Dict[str, Any], source: str) -> None:
+        """Mark the task done with ``envelope``, which ran at ``source``."""
+        self.state, self.envelope, self.source = DONE, envelope, source
 
 
 def make_records(
-    tasks: Sequence[Sequence[Any]],
-    paths: Sequence[Sequence[Any]],
-    labels: Sequence[str],
-    first_id: int = 0,
+    tasks: Sequence[Sequence[Any]], labels: Sequence[str]
 ) -> List[TaskRecord]:
     return [
-        TaskRecord(first_id + index, index, path, tuple(task), label)
-        for index, (task, path, label) in enumerate(zip(tasks, paths, labels))
+        TaskRecord(index, tuple(task), label)
+        for index, (task, label) in enumerate(zip(tasks, labels))
     ]
-
-
-def settle(
-    record: TaskRecord, envelope: Dict[str, Any], source: str, ledger: Optional[TaskLedger]
-) -> None:
-    """Mark ``record`` done with ``envelope`` and journal a result."""
-    record.state, record.envelope, record.source = DONE, envelope, source
-    if ledger is not None and "error" not in envelope:
-        ledger.record(record.key, envelope["result"])
-
-
-def open_records(
-    records: List[TaskRecord], ledger: Optional[TaskLedger]
-) -> List[TaskRecord]:
-    """Answer the records ``ledger`` has journalled; return the rest."""
-    if ledger is None:
-        return list(records)
-    todo = []
-    for record in records:
-        if record.key in ledger:
-            envelope = {"result": ledger.get(record.key), "spans": None}
-            settle(record, envelope, "ledger", None)
-        else:
-            todo.append(record)
-    return todo
 
 
 def run_task(
     fn: Callable[..., Any], args: Tuple, label: str = "task", trace: bool = False
 ) -> Dict[str, Any]:
-    """Run ``fn(*args)`` away from the caller and wrap the outcome in the
-    result envelope.  With ``trace`` the task runs inside a ``label`` span
-    of its own tracer, whose spans travel in the envelope.  Module-level
-    so pools can pickle it; an exception that cannot be pickled travels
-    as its ``repr``."""
+    """Run ``fn(*args)`` in a worker and wrap the outcome in the result
+    envelope.  With ``trace`` the task runs inside a ``label`` span of
+    its own tracer, whose spans travel in the envelope.  Module-level so
+    pools can pickle it; an exception that cannot be pickled travels as
+    its ``repr``."""
     try:
         if not trace:
             return {"result": fn(*args), "spans": None}
@@ -242,14 +195,12 @@ def run_here(
     records: List[TaskRecord],
     *,
     trace: bool,
-    ledger: Optional[TaskLedger],
     early_stop: Optional[Callable[[List[TaskRecord]], bool]],
     deadline_at: Optional[float],
 ) -> None:
-    """Run ``todo`` in order in the caller's process and context, each
-    journalled before the next starts.  Once ``early_stop(records)``
-    holds or ``deadline_at`` has passed, the rest are cancelled; an
-    exception from ``fn`` propagates at once."""
+    """Run ``todo`` in order in the caller's process and context.  Once
+    ``early_stop(records)`` holds or ``deadline_at`` has passed, the rest
+    are cancelled; an exception from ``fn`` propagates at once."""
     tracer = _spans.current() if trace else None
     for position, record in enumerate(todo):
         if (early_stop is not None and early_stop(records)) or (
@@ -263,7 +214,7 @@ def run_here(
         else:
             with tracer.span(record.label):
                 result = fn(*record.args)
-        settle(record, {"result": result, "spans": None}, "local", ledger)
+        record.settle({"result": result, "spans": None}, "local")
 
 
 def _deadline_at(deadline: Optional[float]) -> Optional[float]:
@@ -281,33 +232,22 @@ class InProcess:
         fn: Callable[..., Any],
         tasks: Sequence[Sequence[Any]],
         *,
-        paths: Sequence[Sequence[Any]],
         labels: Sequence[str],
         trace: bool = False,
-        ledger: Optional[TaskLedger] = None,
         early_stop: Optional[Callable[[List[TaskRecord]], bool]] = None,
         deadline: Optional[float] = None,
         lease_timeout: Optional[float] = None,
     ) -> List[TaskRecord]:
-        records = make_records(tasks, paths, labels)
+        records = make_records(tasks, labels)
         run_here(
             fn,
-            open_records(records, ledger),
+            records,
             records,
             trace=trace,
-            ledger=ledger,
             early_stop=early_stop,
             deadline_at=_deadline_at(deadline),
         )
         return records
-
-
-def _start_method() -> str:
-    preferred = os.environ.get("REPRO_START_METHOD")
-    available = multiprocessing.get_all_start_methods()
-    if preferred and preferred in available:
-        return preferred
-    return "fork" if "fork" in available else available[0]
 
 
 def _worker_init() -> None:
@@ -319,7 +259,7 @@ def _worker_init() -> None:
 def _executor(jobs: int, tasks: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(
         max_workers=max(1, min(jobs, tasks)),
-        mp_context=multiprocessing.get_context(_start_method()),
+        mp_context=multiprocessing.get_context(START_METHOD),
         initializer=_worker_init,
     )
 
@@ -365,20 +305,15 @@ class ProcessPool:
         fn: Callable[..., Any],
         tasks: Sequence[Sequence[Any]],
         *,
-        paths: Sequence[Sequence[Any]],
         labels: Sequence[str],
         trace: bool = False,
-        ledger: Optional[TaskLedger] = None,
         early_stop: Optional[Callable[[List[TaskRecord]], bool]] = None,
         deadline: Optional[float] = None,
         lease_timeout: Optional[float] = None,
     ) -> List[TaskRecord]:
         """Submit every task at once, then harvest the results in task
         order (see the module docstring for the hardening)."""
-        records = make_records(tasks, paths, labels)
-        todo = open_records(records, ledger)
-        if not todo:
-            return records
+        records = make_records(tasks, labels)
         deadline_at = _deadline_at(deadline)
         give_up_at = deadline_at + OVERRUN_GRACE if deadline_at is not None else None
 
@@ -391,11 +326,11 @@ class ProcessPool:
             return bound
 
         def unfinished() -> List[TaskRecord]:
-            return [r for r in todo if r.state == PENDING]
+            return [r for r in records if r.state == PENDING]
 
         def submit() -> Dict[int, Any]:
             return {
-                r.id: executor.submit(run_task, fn, r.args, r.label, trace)
+                r.index: executor.submit(run_task, fn, r.args, r.label, trace)
                 for r in unfinished()
             }
 
@@ -403,21 +338,21 @@ class ProcessPool:
             """Keep what finished before the pool broke, so only truly
             unfinished tasks run again."""
             for r in unfinished():
-                future = futures[r.id]
+                future = futures[r.index]
                 if future.done() and not future.cancelled():
                     if future.exception(timeout=0) is None:
-                        settle(r, future.result(), "worker", ledger)
+                        r.settle(future.result(), "pool")
 
-        executor = _executor(self.jobs, len(todo))
+        executor = _executor(self.jobs, len(records))
         retries = 0
         try:
             futures = submit()
             position = 0
-            while position < len(todo):
-                record = todo[position]
+            while position < len(records):
+                record = records[position]
                 if record.state == PENDING:
                     try:
-                        envelope = futures[record.id].result(timeout=wait())
+                        envelope = futures[record.index].result(timeout=wait())
                     except (FuturesTimeout, BrokenProcessPool) as exc:
                         salvage()
                         _terminate_pool(executor)
@@ -430,7 +365,7 @@ class ProcessPool:
                             retries += 1
                             self.metrics.counter("pool.retries").inc()
                             delay = BACKOFF_BASE * 2 ** (retries - 1) + random.Random(
-                                derive_seed_path(0, *todo[0].path, f"pool-retry-{retries}")
+                                derive_seed_path(0, "pool-retry", retries)
                             ).uniform(0.0, BACKOFF_BASE)
                             if deadline_at is not None:
                                 delay = min(delay, max(0.0, deadline_at - time.monotonic()))
@@ -445,15 +380,14 @@ class ProcessPool:
                             unfinished(),
                             records,
                             trace=trace,
-                            ledger=ledger,
                             early_stop=early_stop,
                             deadline_at=deadline_at,
                         )
                         return records
-                    settle(record, envelope, "worker", ledger)
+                    record.settle(envelope, "pool")
                 position += 1
                 if early_stop is not None and early_stop(records):
-                    self._stop(unfinished(), futures, executor, wait, ledger)
+                    self._stop(unfinished(), futures, executor, wait)
                     return records
         except BaseException:
             _terminate_pool(executor)
@@ -462,20 +396,20 @@ class ProcessPool:
             executor.shutdown()  # a no-op once the pool was terminated
         return records
 
-    def _stop(self, rest, futures, executor, wait, ledger) -> None:
+    def _stop(self, rest, futures, executor, wait) -> None:
         """Early stop: cancel every pending task in one fast pass — a
         blocking wait first would let them start and dodge the cancel —
         then drain the running ones under a bounded wait, so their
         results still count."""
         running = []
         for record in rest:
-            if futures[record.id].cancel():
+            if futures[record.index].cancel():
                 record.state = CANCELLED
             else:
                 running.append(record)
         for record in running:
             try:
-                settle(record, futures[record.id].result(timeout=wait()), "worker", ledger)
+                record.settle(futures[record.index].result(timeout=wait()), "pool")
             except (FuturesTimeout, BrokenProcessPool):
                 # A straggler that hangs or crashes cannot unwind the
                 # run: it and everything still running are cut loose.
@@ -494,11 +428,9 @@ def parallel_map(
     fn: Callable[..., Any],
     tasks: Iterable[Sequence[Any]],
     *,
-    jobs: Any = None,
+    jobs: Optional[int] = None,
     timeout: Optional[float] = None,
     span_labels: Optional[Sequence[str]] = None,
-    paths: Optional[Sequence[Sequence[Any]]] = None,
-    ledger: Optional[TaskLedger] = None,
 ) -> List[Any]:
     """``[fn(*t) for t in tasks]``, on the executor ``jobs`` names
     (:func:`resolve_dispatch`).
@@ -512,20 +444,8 @@ def parallel_map(
     ``span_labels[i]`` or ``task:<i>`` — and spans made elsewhere are
     adopted in task order, so the merged span tree is identical for
     every executor.
-
-    ``paths`` names each task by its deterministic seed-tree path
-    (default ``("task", i)``): the ledger key and the cluster's
-    re-dispatch unit.  A :class:`TaskLedger` — explicit, or opened under
-    ``REPRO_LEDGER_DIR`` — makes the call resumable.
     """
     tasks = [tuple(t) for t in tasks]
-    paths = (
-        [tuple(p) for p in paths]
-        if paths is not None
-        else [("task", i) for i in range(len(tasks))]
-    )
-    if len(paths) != len(tasks):
-        raise ValueError("paths must match tasks in length")
     labels = (
         [str(l) for l in span_labels]
         if span_labels is not None
@@ -536,10 +456,8 @@ def parallel_map(
     records = resolve_dispatch(jobs, len(tasks)).run(
         fn,
         tasks,
-        paths=paths,
         labels=labels,
         trace=_spans.current() is not None,
-        ledger=resolve_ledger(fn, paths, tasks, ledger=ledger),
         lease_timeout=timeout,
     )
     results = []
@@ -602,7 +520,7 @@ def _decide_attempt_worker(
     """One attempt of :func:`repro.core.simulation.decide`.
 
     Its budget is ``timeout`` or the time left before ``until`` (the
-    call's ``time.time()`` deadline, readable on any host), whichever
+    call's ``time.time()`` deadline, readable in any process), whichever
     ends first; ``past_deadline`` in the result says the call's deadline
     had passed when the attempt ended.
 

@@ -36,6 +36,12 @@ class TestInvocation:
         assert main(("theorem5",)) == 0
         assert "P16 bound" in capsys.readouterr().out
 
+    def test_address_jobs_is_a_usage_error(self):
+        # --jobs takes a pool width; a host:port address is no target.
+        with pytest.raises(SystemExit) as excinfo:
+            main(("--jobs", "127.0.0.1:9000", "table1"))
+        assert excinfo.value.code == 2
+
 
 class TestBenchCheck:
     """``bench --check`` on a suite that runs part of the baseline."""
@@ -44,11 +50,11 @@ class TestBenchCheck:
         "gauges": {
             "uniform_scheduler.ops_per_second": 100.0,
             "batched.n1e6.ops_per_second": 50.0,
-            "dist.loopback.ops_per_second": 10.0,
+            "batched.n1e8.ops_per_second": 10.0,
         }
     }
 
-    def _check(self, tmp_path, fresh, suite="distributed"):
+    def _check(self, tmp_path, fresh, suite="batched"):
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(self.BASELINE))
         new = tmp_path / "fresh.json"
@@ -56,7 +62,7 @@ class TestBenchCheck:
         return _compare_bench(new, baseline, 0.30, suite)
 
     def test_scoped_run_passes_on_its_own_gauges(self, tmp_path, capsys):
-        fresh = {"dist.loopback.ops_per_second": 9.15}
+        fresh = {"batched.n1e8.ops_per_second": 9.15}
         assert self._check(tmp_path, fresh) == 0
         out = capsys.readouterr().out
         assert "(91.5% of baseline)" in out
@@ -65,7 +71,7 @@ class TestBenchCheck:
         assert self._check(tmp_path, fresh, suite="core") == 1
 
     def test_scoped_run_with_a_dropped_gauge_fails(self, tmp_path):
-        assert self._check(tmp_path, {"dist.loopback.ops_per_second": 5.0}) == 1
+        assert self._check(tmp_path, {"batched.n1e8.ops_per_second": 5.0}) == 1
 
     def test_scoped_run_that_recorded_nothing_fails(self, tmp_path):
-        assert self._check(tmp_path, {"dist.dispatch_overhead_ratio": 1.0}) == 1
+        assert self._check(tmp_path, {"batched.crossover.smalln_ratio": 0.24}) == 1

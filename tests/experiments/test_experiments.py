@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.conversion import compile_program
 from repro.experiments import (
     analyse,
     conversion_rows,
@@ -76,6 +77,38 @@ class TestConversionDriver:
         assert len(rows) == 1
         assert rows[0].bound_holds
         assert "P16 bound" in render_conversion(rows)
+
+    def test_every_column_matches_the_full_pipeline(
+        self, thr2_pipeline, figure1, lipton1_pipeline
+    ):
+        # The rows skip the output broadcast; each column must still be
+        # what a full compile of the same program reports.
+        pipelines = {
+            "thr2": thr2_pipeline,
+            "figure1": compile_program(figure1, "figure1"),
+            "lipton-n1": lipton1_pipeline,
+        }
+        rows = conversion_rows(
+            builders=[(name, lambda p=p: p.program) for name, p in pipelines.items()]
+        )
+        assert [row.name for row in rows] == list(pipelines)
+        for row in rows:
+            full = pipelines[row.name]
+            assert (
+                row.program_size,
+                row.machine_size,
+                row.inner_states,
+                row.bound,
+                row.final_states,
+                row.shift,
+            ) == (
+                full.program_size.total,
+                full.machine_size,
+                full.inner_state_count,
+                full.state_bound,
+                full.state_count,
+                full.shift,
+            )
 
 
 class TestFigure2Driver:

@@ -1,5 +1,6 @@
 """Parallel execution semantics: fan-out is invisible in results,
-first-verdict cancellation works, and worker metrics merge back."""
+first-verdict cancellation works, a task's exception reaches the caller,
+and worker metrics merge back."""
 
 import hashlib
 
@@ -13,7 +14,12 @@ from repro.observability.observer import CompositeObserver
 from repro.observability.spans import SpanTracer, activate
 from repro.observability.trace import TraceRecorder
 from repro.runtime.cache import cached_transition_table
-from repro.runtime.pool import merge_worker_metrics, parallel_map, resolve_jobs
+from repro.runtime.pool import (
+    RemoteTaskError,
+    merge_worker_metrics,
+    parallel_map,
+    resolve_jobs,
+)
 
 
 def square(x):
@@ -22,6 +28,22 @@ def square(x):
 
 def add(a, b):
     return a + b
+
+
+def boom(x):
+    raise ValueError(f"boom {x}")
+
+
+class Unpicklable(Exception):
+    """An exception whose state cannot be pickled (it holds a lambda)."""
+
+    def __init__(self, x):
+        super().__init__(f"unpicklable {x}")
+        self.hook = lambda: x
+
+
+def raise_unpicklable(x):
+    raise Unpicklable(x)
 
 
 class TestResolveJobs:
@@ -59,6 +81,19 @@ class TestParallelMap:
         # closure is fine sequentially.
         fn = lambda x: x + 1
         assert parallel_map(fn, [(1,), (2,)], jobs=1) == [2, 3]
+
+    def test_remote_exception_propagates(self):
+        # Two tasks: a single one would run in-process, not in the pool.
+        with pytest.raises((ValueError, RemoteTaskError), match="boom"):
+            parallel_map(boom, [(1,), (2,)], jobs=2)
+
+    def test_unpicklable_exception_carries_worker_traceback(self):
+        with pytest.raises(RemoteTaskError) as info:
+            parallel_map(raise_unpicklable, [(1,), (2,)], jobs=2)
+        text = str(info.value)
+        assert text.startswith("Traceback (most recent call last):")
+        assert "in raise_unpicklable" in text
+        assert "Unpicklable: unpicklable 1" in text
 
 
 class TestDecideParallelDeterminism:
