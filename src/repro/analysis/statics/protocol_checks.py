@@ -263,7 +263,7 @@ def check_table_conservation(protocol: PopulationProtocol) -> List[Diagnostic]:
     population; a nonzero sum means a corrupted or miscompiled table)."""
     from repro.runtime.cache import cached_transition_table
 
-    table = cached_transition_table(protocol)
+    table = cached_transition_table(protocol).materialise()
     out: List[Diagnostic] = []
     for mode_name, mode in (("enabled", table.enabled), ("uniform", table.uniform)):
         for key in mode.keys:

@@ -115,9 +115,9 @@ def _check_pipelines() -> List[Diagnostic]:
 
 
 def _check_lipton() -> List[Diagnostic]:
-    # n = 1 keeps the target tractable: the converted protocol already has
-    # ~430k transitions there, and n = 2 compiles to a table too large to
-    # check interactively (the double-exponential is doing its job).
+    # n = 1 keeps the target tractable: the protocol checks list δ in full,
+    # 430,420 transitions there, and n = 2's 5.7M transitions are above
+    # the expansion limit (the double-exponential is doing its job).
     from repro.lipton.construction import build_threshold_program
 
     return check_pipeline(build_threshold_program(1), name="lipton-n1")

@@ -10,6 +10,10 @@ agent copies its value.  All other interactions preserve opinions.
 We omit the identity transitions between two non-OF agents (they are
 no-ops on both components, hence semantically inert), keeping the
 transition set finite-by-need while preserving the reachable behaviour.
+
+A class rule lifts like each of its instances: one rule per pair of
+opinion bits, the four forming one family, so the lifted rules stand for
+exactly the lifted instances, in the same order.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core._gc import gc_paused
-from repro.core.protocol import PopulationProtocol, Transition
+from repro.core.protocol import ClassRule, PopulationProtocol, Transition
 from repro.machines.machine import OF
 from repro.conversion.states import PointerState
 
@@ -62,24 +66,40 @@ def _broadcast(protocol: PopulationProtocol, name: Optional[str]) -> PopulationP
         q: (OpinionState(q, False), OpinionState(q, True)) for q in protocol.states
     }
     of_value = {q: _of_value(q) for q in protocol.states}
-    transitions: List[Transition] = []
 
-    for t in protocol.transitions:
-        q, r, q2, r2 = lifted[t.q], lifted[t.r], lifted[t.q2], lifted[t.r2]
-        # The responder's OF value wins if both successors carry one.
-        broadcast_value = of_value[t.r2]
-        if broadcast_value is None:
-            broadcast_value = of_value[t.q2]
+    def posts(q2, r2):
+        """The lifted successors for each pair of opinion bits.  The
+        responder's OF value wins if both successors carry one."""
+        value = of_value[r2]
+        if value is None:
+            value = of_value[q2]
         for b1 in bits:
             for b2 in bits:
-                if broadcast_value is None:
-                    transitions.append(Transition(q[b1], r[b2], q2[b1], r2[b2]))
+                if value is None:
+                    yield b1, b2, lifted[q2][b1], lifted[r2][b2]
                 else:
-                    transitions.append(
-                        Transition(
-                            q[b1], r[b2], q2[broadcast_value], r2[broadcast_value]
-                        )
+                    yield b1, b2, lifted[q2][value], lifted[r2][value]
+
+    rules: List[Tuple[ClassRule, ...]] = []
+    for family in protocol.rules:
+        members: List[ClassRule] = []
+        for rule in family:
+            for b1, b2, q2, r2 in posts(rule.q2, rule.r2):
+                members.append(
+                    ClassRule(
+                        tuple(lifted[q][b1] for q in rule.A),
+                        tuple(lifted[r][b2] for r in rule.B),
+                        q2,
+                        r2,
                     )
+                )
+        rules.append(tuple(members))
+
+    transitions: List[Transition] = []
+    for t in protocol.explicit:
+        q, r = lifted[t.q], lifted[t.r]
+        for b1, b2, q2, r2 in posts(t.q2, t.r2):
+            transitions.append(Transition(q[b1], r[b2], q2, r2))
 
     # Identity interactions involving the OF agent: opinion epidemics.
     ordered = sorted(protocol.states, key=repr)
@@ -105,4 +125,5 @@ def _broadcast(protocol: PopulationProtocol, name: Optional[str]) -> PopulationP
         input_states=[lifted[q][False] for q in protocol.input_states],
         accepting_states=[pair[True] for pair in lifted.values()],
         name=name or f"{protocol.name}+broadcast",
+        rules=rules,
     )

@@ -13,6 +13,11 @@ pointer's value plus a gadget stage).  The conversion emits
 * ``⟨move⟩`` / ``⟨test⟩`` / ``⟨pointer⟩`` — one gadget per instruction,
   exactly as in Figure 4 / Appendix B.3.
 
+Each pointer's ⟨elect⟩ fires on every ordered pair of that pointer's
+states with one outcome, so it is emitted as one class rule (see
+:class:`repro.core.protocol.ClassRule`) rather than ``|Q_X|²``
+transitions: IP alone has 312 states at n = 1.
+
 The resulting protocol (before the output broadcast of
 :mod:`repro.conversion.broadcast`) satisfies Proposition 16's state bound
 ``|Q*| ≤ |Q| + 7·Σ_X |𝓕_X| + L``.
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.core.errors import InvalidMachineError
-from repro.core.protocol import PopulationProtocol, Transition
+from repro.core.protocol import ClassRule, PopulationProtocol, Transition
 from repro.machines.machine import (
     AssignInstr,
     CF,
@@ -62,8 +67,13 @@ class ConvertedProtocol:
     initial_values: Dict[str, object]
     hub_register: str
     shift: int  # |F| — the agent overhead of Theorem 5
-    elect_transitions: List[Transition] = field(default_factory=list)
     instruction_transitions: Dict[int, List[Transition]] = field(default_factory=dict)
+
+    @property
+    def elect_transitions(self) -> List[Transition]:
+        """The ⟨elect⟩ transitions, expanded from the protocol's class
+        rules (one per pointer, in enumeration order)."""
+        return list(self.protocol.rule_transitions())
 
     @property
     def initial_state(self) -> PointerState:
@@ -121,11 +131,11 @@ def convert_machine(
     transitions: List[Transition] = []
 
     # ------------------------------------------------------------------
-    # ⟨elect⟩
+    # ⟨elect⟩: one rule Q_X × Q_X ↦ (winner, loser) per pointer
     # ------------------------------------------------------------------
-    elect: List[Transition] = []
+    elect: List[ClassRule] = []
     for i, pointer in enumerate(order):
-        own_states = pointer_states(machine, pointer)
+        own_states = tuple(pointer_states(machine, pointer))
         if pointer != IP:
             successor = order[i + 1]
             winner = PointerState(pointer, initial_values[pointer], NONE)
@@ -133,10 +143,7 @@ def convert_machine(
         else:
             winner = PointerState(order[0], initial_values[order[0]], NONE)
             loser = hub
-        for first in own_states:
-            for second in own_states:
-                elect.append(Transition(first, second, winner, loser))
-    transitions.extend(elect)
+        elect.append(ClassRule(own_states, own_states, winner, loser))
 
     # ------------------------------------------------------------------
     # Instruction gadgets
@@ -320,6 +327,7 @@ def convert_machine(
             PointerState(OF, True, stage) for stage in stages_of(OF)
         ],
         name=name,
+        rules=elect,
     )
     return ConvertedProtocol(
         protocol=protocol,
@@ -328,7 +336,6 @@ def convert_machine(
         initial_values=initial_values,
         hub_register=hub,
         shift=len(order),
-        elect_transitions=elect,
         instruction_transitions=per_instruction,
     )
 

@@ -7,6 +7,7 @@ predicate encodings.
 
 from repro.core.errors import (
     ExecutionLimitExceeded,
+    ExpansionLimitExceeded,
     InvalidConfigurationError,
     InvalidMachineError,
     InvalidProgramError,
@@ -38,7 +39,7 @@ from repro.core.predicates import (
     Threshold,
     binary_length,
 )
-from repro.core.protocol import PopulationProtocol, Transition
+from repro.core.protocol import ClassRule, PopulationProtocol, Transition
 from repro.core.scheduler import (
     EnabledTransitionScheduler,
     SchedulerStep,
@@ -77,6 +78,7 @@ __all__ = [
     "InvalidProgramError",
     "InvalidMachineError",
     "ExecutionLimitExceeded",
+    "ExpansionLimitExceeded",
     "NonConvergenceError",
     "Multiset",
     "negate",
@@ -85,6 +87,7 @@ __all__ = [
     "disjunction",
     "interval_protocol",
     "PopulationProtocol",
+    "ClassRule",
     "Transition",
     "UniformPairScheduler",
     "EnabledTransitionScheduler",

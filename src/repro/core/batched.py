@@ -534,9 +534,12 @@ def run_batched_simulation(
     # The *uniform* mode table keys every matched ordered pair, no-ops
     # included — exactly a batch's universe — and its pair map resolves
     # the pair ``(a, b)`` at ``a·S + b``: nothing here is built per call.
+    # A rule key not built yet reads ``None`` and is built on the spot
+    # (``ufill``); its records do not depend on when that happens.
     ukeys = table.uniform.keys
     upair = table.uniform.pair
     uchanging = table.uniform.changing
+    ufill = table.uniform.fill
 
     use_numpy = numpy_available() and population <= (1 << 62)
     sampler_cls = _NumpySampler if use_numpy else _PureSampler
@@ -634,7 +637,13 @@ def run_batched_simulation(
                 if a == b and solo:
                     continue
                 i = upair[base + b]
-                if i >= 0 and uchanging[i]:
+                if i < 0:
+                    continue
+                changing = uchanging[i]
+                if changing is None:
+                    ufill(i)
+                    changing = uchanging[i]
+                if changing:
                     return False
         return True
 
@@ -726,7 +735,7 @@ def run_batched_simulation(
                 upost[b] = upost.get(b, 0) + k
                 nulls += k
                 continue
-            cands = ukeys[i][4]
+            cands = (ukeys[i] or ufill(i))[4]
             if len(cands) == 1 or tie_first:
                 chunks = ((cands[0], k),)
             else:
@@ -782,7 +791,7 @@ def run_batched_simulation(
                 if obs is not None:
                     obs.on_batch(interactions, kind="collision", count=1)
             else:
-                cands = ukeys[i][4]
+                cands = (ukeys[i] or ufill(i))[4]
                 if len(cands) == 1 or tie_first:
                     cand = cands[0]
                 else:

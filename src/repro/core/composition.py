@@ -31,10 +31,11 @@ def negate(protocol: PopulationProtocol) -> PopulationProtocol:
     """The protocol deciding the negation of ``protocol``'s predicate."""
     return PopulationProtocol(
         states=protocol.states,
-        transitions=protocol.transitions,
+        transitions=protocol.explicit,
         input_states=protocol.input_states,
         accepting_states=protocol.states - protocol.accepting_states,
         name=f"not({protocol.name})",
+        rules=protocol.rules,
     )
 
 

@@ -40,6 +40,12 @@ class ExecutionLimitExceeded(ReproError):
     budget before reaching the requested condition."""
 
 
+class ExpansionLimitExceeded(ReproError):
+    """A protocol's transition relation, its class rules expanded, is
+    larger than :data:`repro.core.protocol.EXPANSION_LIMIT` transitions
+    and is not listed explicitly."""
+
+
 class NonConvergenceError(ReproError):
     """A simulation was asked for a definite verdict but did not stabilise
     within its budget."""

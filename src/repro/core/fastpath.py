@@ -10,7 +10,8 @@ around that observation:
   protocol instance): states are encoded as dense integers, every ``(q,
   r)`` pair with transitions becomes a *key* with the precomputed data the
   inner loop needs (pair-weight offset, candidate tuples with net deltas
-  and output deltas), plus a dense ``(q, r) → key`` map.
+  and output deltas), plus a dense ``(q, r) → key`` map.  The data of a
+  pair that one class rule covers is built on the key's first use.
 * :class:`EnabledIndex` — the incremental index.  It maintains, per key,
   the ordered-pair weight ``c_q·(c_r − [q=r])`` (times the candidate
   multiplicity in enabled mode), a dense *active list* of keys with
@@ -63,7 +64,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core._gc import gc_paused
 from repro.core.multiset import Multiset
-from repro.core.protocol import PopulationProtocol
+from repro.core.protocol import PopulationProtocol, Transition
 from repro.core.scheduler import EnabledTransitionScheduler, UniformPairScheduler
 from repro.observability.events import LAYER_PROTOCOL
 
@@ -122,84 +123,137 @@ class ModeTable:
     that entering a loop costs O(1) however often a faulted run re-enters
     it.
 
-    ``pair[a·n + b]`` is the id of the key for the ordered pair ``(a,
-    b)``, or −1: one dense ``array('i')`` of ``n²`` entries (3.1 MB on
-    Theorem 1's protocol at n=1).  The index repairs a changed state ``s``
-    by looking up ``(s, p)`` and ``(p, s)`` for each *occupied* partner
-    ``p``, so a repair costs O(|support|) rather than O(degree of ``s``):
-    the paper's protocol has about 970 keys per state but is decided on
+    Keys run in ``(a, b)`` order, so a key's id is its rank among the
+    keyed pairs.  ``pair[a·n + b]`` is the id of the key for the ordered
+    pair ``(a, b)``, or −1: one dense ``array('i')`` of ``n²`` entries
+    (3.1 MB on Theorem 1's protocol at n=1), and ``kpos[i] = a·n + b``
+    maps back.  The index repairs a changed state ``s`` by looking up
+    ``(s, p)`` and ``(p, s)`` for each *occupied* partner ``p``, so a
+    repair costs O(|support|) rather than O(degree of ``s``): the
+    paper's protocol has about 970 keys per state but is decided on
     15–16 agents.  ``wmult[i]`` is the factor a key's pair weight is
     multiplied by: ``mult`` in enabled mode, 1 in uniform mode.
 
-    :class:`TransitionTable` fills both modes in one pass through
-    :meth:`add`; :meth:`freeze` then turns the columns into tuples.
+    A pair that only one class rule covers is a *rule key*: its id, pair
+    entry and ``wmult`` (1) are set at compile, but ``keys``,
+    ``changing``, ``hot`` and ``hot1`` hold ``None`` until :meth:`fill`
+    builds its records, in both modes at once.  Every reader of those
+    columns calls it first where a key may be unbuilt; a key's records
+    are a function of the protocol alone, so a run samples the same
+    whatever was built before it.
     """
 
-    __slots__ = ("n", "keys", "changing", "hot", "hot1", "pair", "wmult")
+    __slots__ = (
+        "n", "keys", "changing", "hot", "hot1", "pair", "wmult", "kpos", "owner"
+    )
 
-    def __init__(self, n_states: int):
+    def __init__(self, n_states: int, owner: "TransitionTable"):
         self.n = n_states
-        self.keys: list = []
-        self.changing: list = []
-        self.hot: list = []
-        self.hot1: list = []
         self.pair = array("i", [-1]) * (n_states * n_states)
+        self.kpos = array("i")
+        self.owner = owner
 
-    def add(self, key: tuple, changing: int, hots: tuple) -> None:
-        """Append ``key`` with its flag and hot records."""
-        self.pair[key[0] * self.n + key[1]] = len(self.keys)
-        self.keys.append(key)
-        self.changing.append(changing)
-        self.hot.append(hots)
-        self.hot1.append(hots[0] if len(hots) == 1 else None)
+    def add_row(self, a: int, runs: List[Tuple[int, int]], iota) -> None:
+        """Key row ``a`` on the columns ``runs`` lists as ascending,
+        disjoint ``(first column, length)`` runs.  ``iota[j] = j``: a run
+        is two array copies however long it is, and a rule's row is a
+        few runs of hundreds of columns."""
+        pair = self.pair
+        kpos = self.kpos
+        row = a * self.n
+        i = len(kpos)
+        for b, k in runs:
+            pos = row + b
+            pair[pos : pos + k] = iota[i : i + k]
+            kpos.extend(iota[pos : pos + k])
+            i += k
 
-    def freeze(self, fold_mult: bool) -> "ModeTable":
-        """Turn the columns into tuples and fill ``wmult``."""
-        keys = self.keys = tuple(self.keys)
-        self.changing = tuple(self.changing)
-        self.hot = tuple(self.hot)
-        self.hot1 = tuple(self.hot1)
-        if fold_mult:
-            self.wmult = array("i", [key[3] for key in keys])
-        else:
-            self.wmult = array("i", [1]) * len(keys)
+    def finish(self, built: List[Tuple[int, tuple]], fold_mult: bool) -> "ModeTable":
+        """Fill the columns: the ``(id, (key, changing, hots))`` records
+        of ``built``, ``None`` for every rule key, and ``wmult`` (``mult``
+        in enabled mode, 1 in uniform mode)."""
+        size = len(self.kpos)
+        self.keys: list = [None] * size
+        self.changing: list = [None] * size
+        self.hot: list = [None] * size
+        self.hot1: list = [None] * size
+        self.wmult = wmult = array("i", [1]) * size
+        for i, record in built:
+            self._put(i, *record)
+            if fold_mult:
+                wmult[i] = record[0][3]
+        return self.freeze()
+
+    def _put(self, i: int, key: tuple, changing: int, hots: tuple) -> None:
+        self.keys[i] = key
+        self.changing[i] = changing
+        self.hot[i] = hots
+        self.hot1[i] = hots[0] if len(hots) == 1 else None
+
+    def fill(self, i: int) -> tuple:
+        """Build rule key ``i``'s records (in both modes) and return
+        ``keys[i]``.  The one builder of rule keys: the index calls it
+        when a key turns active, the batched engine when a chunk or a
+        silence check reaches one, and :meth:`TransitionTable.materialise`
+        for all of them."""
+        self.owner._fill(*divmod(self.kpos[i], self.n))
+        return self.keys[i]
+
+    def freeze(self) -> "ModeTable":
+        """Turn the columns into tuples once every key is built."""
+        if None not in self.hot:
+            self.keys = tuple(self.keys)
+            self.changing = tuple(self.changing)
+            self.hot = tuple(self.hot)
+            self.hot1 = tuple(self.hot1)
         return self
 
     @property
     def srecs(self) -> tuple:
         """Per-state records ``(i, partner, off, wmult[i])`` of every key
         touching the state, in key order: the static repair lists of the
-        earlier design, derived from ``keys`` on each access.  A read-only
-        view for measurement and tests; nothing on the compile, load or
-        run path reads it.  The records are acyclic, so cyclic GC is
-        paused while they are built (1.8 → 0.2 s on Lipton n=1)."""
-        recs: List[list] = [[] for _ in range(self.n)]
+        earlier design, derived from ``kpos`` on each access (no record is
+        built).  A read-only view for measurement and tests; nothing on
+        the compile, load or run path reads it.  The records are acyclic,
+        so cyclic GC is paused while they are built (1.8 → 0.2 s on
+        Lipton n=1)."""
+        n = self.n
+        recs: List[list] = [[] for _ in range(n)]
         wmult = self.wmult
         with gc_paused():
-            for i, (a, b, off, _mult, _cands) in enumerate(self.keys):
+            for i, pos in enumerate(self.kpos):
+                a, b = divmod(pos, n)
                 m = wmult[i]
-                recs[a].append((i, b, off, m))
-                if b != a:
-                    recs[b].append((i, a, off, m))
+                if b == a:
+                    recs[a].append((i, a, 1, m))
+                else:
+                    recs[a].append((i, b, 0, m))
+                    recs[b].append((i, a, 0, m))
             return tuple(map(tuple, recs))
 
 
 class TransitionTable:
     """Dense-integer compilation of a protocol's transition structure.
 
-    States are numbered in ``repr`` order and keys are ordered by the
-    ``repr`` of their ``(q, r)`` pair, so the encoding is the same in
-    every process.  The compile is one pass over the pairs, with cyclic
-    GC paused (the table is acyclic): each transition's candidate record
-    and hot record are built once, and the enabled key shares them with
-    the uniform key.  Enabled mode samples only non-no-op transitions
-    (the legacy ``EnabledTransitionScheduler``'s candidate set), uniform
-    mode every matched pair; a key without no-ops is one object in both
-    modes.  A no-op changes no count, so a key's ``changing`` flag is the
-    same in both modes.
+    States are numbered in ``repr`` order and keys are ordered by their
+    ``(q, r)`` state ids, so the encoding is the same in every process.
+    The compile is one pass over the rows, with cyclic GC paused (the
+    table is acyclic but for the modes' back-references): each explicit
+    transition's candidate record and hot record are built once, and the
+    enabled key shares them with the uniform key.  A pair that one class
+    rule alone covers becomes a rule key, built on first use
+    (:meth:`ModeTable.fill`): on Theorem 1's protocol at n=1 that is
+    395,720 of the 429,768 uniform keys, of which a 10 s run of the e2e
+    paper path (235 cycles) builds 124.  Enabled mode samples only non-no-op transitions (the
+    legacy ``EnabledTransitionScheduler``'s candidate set), uniform mode
+    every matched pair; a key without no-ops is one object in both
+    modes.  A no-op changes no count, so a key's ``changing`` flag is
+    the same in both modes.
     """
 
-    __slots__ = ("states", "sid", "accepting", "enabled", "uniform")
+    __slots__ = (
+        "states", "sid", "accepting", "enabled", "uniform", "rule_rows", "dpair"
+    )
 
     def __init__(self, protocol: PopulationProtocol):
         with gc_paused():
@@ -207,62 +261,196 @@ class TransitionTable:
 
     def _compile(self, protocol: PopulationProtocol) -> None:
         rep = {s: repr(s) for s in protocol.states}
-        self.states: Tuple[object, ...] = tuple(
-            sorted(protocol.states, key=rep.__getitem__)
-        )
-        sid = self.sid = {s: i for i, s in enumerate(self.states)}
-        acc = self.accepting = tuple(
-            s in protocol.accepting_states for s in self.states
-        )
-        n = len(self.states)
-        enabled, uniform = ModeTable(n), ModeTable(n)
+        states = self.states = tuple(sorted(protocol.states, key=rep.__getitem__))
+        sid = self.sid = {s: i for i, s in enumerate(states)}
+        self.accepting = tuple(s in protocol.accepting_states for s in states)
+        n = len(states)
+        enabled, uniform = ModeTable(n, self), ModeTable(n, self)
         # ``(state_id, net_delta)`` pairs, one object per value (a net
         # delta is ±1 or ±2): a few thousand distinct pairs stand for
         # millions of mentions.
-        dpair = [[(s, v) for v in range(-2, 3)] for s in range(n)]
-        pairs = sorted(
-            protocol._index.items(),
-            key=lambda item: f"({rep[item[0][0]]}, {rep[item[0][1]]})",
-        )
-        for (q, r), ts in pairs:
-            a, b = sid[q], sid[r]
-            acc_pre = acc[a] + acc[b]
-            recs: List[tuple] = []
-            hots: List[tuple] = []
-            changing = noops = 0
-            for t in ts:
-                c, d = sid[t.q2], sid[t.r2]
-                if c == a and d == b:
-                    recs.append((a, b, c, d, 0, 0, (), t))
-                    hots.append((0, 0, ()))
-                    noops += 1
-                    continue
-                # Net deltas in first-mention order q, r, q2, r2.
-                net = {a: -1}
-                net[b] = net.get(b, 0) - 1
-                net[c] = net.get(c, 0) + 1
-                net[d] = net.get(d, 0) + 1
-                deltas = tuple([dpair[s][v + 2] for s, v in net.items() if v])
-                ch = 1 if deltas else 0
-                changing |= ch
-                ad = acc[c] + acc[d] - acc_pre
-                recs.append((a, b, c, d, ch, ad, deltas, t))
-                hots.append((ch, ad, deltas))
-            off = 1 if a == b else 0
-            key = (a, b, off, len(recs), tuple(recs))
-            hot_t = tuple(hots)
-            uniform.add(key, changing, hot_t)
-            if not noops:
-                enabled.add(key, changing, hot_t)
-            elif noops < len(recs):
-                kept = [j for j, rec in enumerate(recs) if rec[2] != a or rec[3] != b]
-                enabled.add(
-                    (a, b, off, len(kept), tuple([recs[j] for j in kept])),
-                    changing,
-                    tuple([hots[j] for j in kept]),
+        self.dpair = [[(s, v) for v in range(-2, 3)] for s in range(n)]
+        explicit: List[Dict[int, list]] = [{} for _ in range(n)]
+        for (q, r), ts in protocol._index.items():
+            explicit[sid[q]][sid[r]] = ts
+        # Row a → (B as state ids, sid(q2), sid(r2)) per covering rule.
+        ruled: Dict[int, Tuple[frozenset, int, int]] = {}
+        rule_rows: Dict[int, tuple] = {}
+        for q, rows in protocol._rule_rows.items():
+            entries = []
+            for rule, _bset in rows:
+                entry = ruled.get(id(rule))
+                if entry is None:
+                    entry = ruled[id(rule)] = (
+                        frozenset([sid[r] for r in rule.B]),
+                        sid[rule.q2],
+                        sid[rule.r2],
+                    )
+                entries.append(entry)
+            rule_rows[sid[q]] = tuple(entries)
+        self.rule_rows = rule_rows
+
+        # The columns the rules of a row cover, by the row's rules:
+        # (covered, covered twice, covered as runs).
+        blocks: Dict[tuple, tuple] = {}
+        iota = array("i", range(n * n))
+        ubuilt: List[Tuple[int, tuple]] = []
+        ebuilt: List[Tuple[int, tuple]] = []
+        for a in range(n):
+            xcols = explicit[a]
+            covering = rule_rows.get(a, ())
+            if not covering:
+                runs = _runs(sorted(xcols))
+                built = {b: self._records(a, b, ts) for b, ts in xcols.items()}
+            else:
+                # Rule keys: columns one rule covers and no explicit
+                # transition shares; the rest is built now.
+                block = blocks.get(tuple(map(id, covering)))
+                if block is None:
+                    covered, shared = set(), set()
+                    for bset, _c, _d in covering:
+                        shared |= covered & bset
+                        covered |= bset
+                    block = blocks[tuple(map(id, covering))] = (
+                        covered, shared, _runs(sorted(covered))
+                    )
+                covered, shared, covered_runs = block
+                runs = _runs(
+                    sorted(covered_runs + [(b, 1) for b in xcols if b not in covered])
                 )
-        self.enabled = enabled.freeze(fold_mult=True)
-        self.uniform = uniform.freeze(fold_mult=False)
+                q = states[a]
+                built = {
+                    b: self._records(
+                        a,
+                        b,
+                        protocol.transitions_from(q, states[b]) if b in covered else ts,
+                    )
+                    for b, ts in xcols.items()
+                }
+                for b in shared.difference(xcols):
+                    built[b] = self._records(
+                        a, b, protocol.transitions_from(q, states[b])
+                    )
+            # Enabled mode keys no all-no-op pair: neither a built one nor
+            # a rule key on its rule's one no-op instance (q2, r2).
+            skip = {b for b, rec in built.items() if rec[3] is None}
+            skip.update(
+                d for bset, c, d in covering if c == a and d in bset and d not in built
+            )
+            uniform.add_row(a, runs, iota)
+            enabled.add_row(a, _without(runs, skip), iota)
+            row = a * n
+            for b, rec in built.items():
+                ubuilt.append((uniform.pair[row + b], rec[:3]))
+                if rec[3] is not None:
+                    ebuilt.append((enabled.pair[row + b], rec[3:]))
+        del iota, explicit  # n² ints: freed before the columns are allocated
+        self.enabled = enabled.finish(ebuilt, fold_mult=True)
+        self.uniform = uniform.finish(ubuilt, fold_mult=False)
+
+    def _records(self, a: int, b: int, ts) -> tuple:
+        """The uniform ``(key, changing, hots)`` and the enabled ``(key,
+        changing, hots)`` (``None`` parts when every candidate is a
+        no-op) of the pair ``(a, b)`` with candidates ``ts`` in order."""
+        sid = self.sid
+        acc = self.accepting
+        dpair = self.dpair
+        acc_pre = acc[a] + acc[b]
+        recs: List[tuple] = []
+        hots: List[tuple] = []
+        changing = noops = 0
+        for t in ts:
+            c, d = sid[t.q2], sid[t.r2]
+            if c == a and d == b:
+                recs.append((a, b, c, d, 0, 0, (), t))
+                hots.append((0, 0, ()))
+                noops += 1
+                continue
+            # Net deltas in first-mention order q, r, q2, r2.
+            net = {a: -1}
+            net[b] = net.get(b, 0) - 1
+            net[c] = net.get(c, 0) + 1
+            net[d] = net.get(d, 0) + 1
+            deltas = tuple([dpair[s][v + 2] for s, v in net.items() if v])
+            ch = 1 if deltas else 0
+            changing |= ch
+            ad = acc[c] + acc[d] - acc_pre
+            recs.append((a, b, c, d, ch, ad, deltas, t))
+            hots.append((ch, ad, deltas))
+        off = 1 if a == b else 0
+        key = (a, b, off, len(recs), tuple(recs))
+        hot_t = tuple(hots)
+        if not noops:
+            return key, changing, hot_t, key, changing, hot_t
+        if noops == len(recs):
+            return key, changing, hot_t, None, None, None
+        kept = [j for j, rec in enumerate(recs) if rec[2] != a or rec[3] != b]
+        return (
+            key,
+            changing,
+            hot_t,
+            (a, b, off, len(kept), tuple([recs[j] for j in kept])),
+            changing,
+            tuple([hots[j] for j in kept]),
+        )
+
+    def _fill(self, a: int, b: int) -> None:
+        """Build the rule key ``(a, b)`` in both modes (see
+        :meth:`ModeTable.fill`)."""
+        for bset, c, d in self.rule_rows[a]:
+            if b in bset:
+                break
+        states = self.states
+        t = Transition(states[a], states[b], states[c], states[d])
+        record = self._records(a, b, (t,))
+        pos = a * len(states) + b
+        self.uniform._put(self.uniform.pair[pos], *record[:3])
+        i = self.enabled.pair[pos]
+        if i >= 0:
+            self.enabled._put(i, *record[3:])
+
+    def materialise(self) -> "TransitionTable":
+        """Build every rule key and freeze the columns into tuples: the
+        table an all-explicit compile would have produced.  For tests,
+        the static checks and measurement; returns the table."""
+        uniform = self.uniform
+        with gc_paused():
+            for i, key in enumerate(uniform.keys):
+                if key is None:
+                    uniform.fill(i)
+        self.enabled.freeze()
+        uniform.freeze()
+        return self
+
+
+def _runs(parts) -> List[Tuple[int, int]]:
+    """Ascending ``(first, length)`` runs of the ascending columns
+    ``parts`` lists, each a column or a ``(first, length)`` run;
+    adjacent ones merge."""
+    runs: List[Tuple[int, int]] = []
+    for part in parts:
+        b, k = part if isinstance(part, tuple) else (part, 1)
+        if runs and sum(runs[-1]) == b:
+            runs[-1] = (runs[-1][0], runs[-1][1] + k)
+        else:
+            runs.append((b, k))
+    return runs
+
+
+def _without(runs: List[Tuple[int, int]], skip) -> List[Tuple[int, int]]:
+    """``runs`` with the columns in ``skip`` cut out."""
+    if not skip:
+        return runs
+    out: List[Tuple[int, int]] = []
+    for b, k in runs:
+        for s in sorted(c for c in skip if b <= c < b + k):
+            if s > b:
+                out.append((b, s - b))
+            k -= s + 1 - b
+            b = s + 1
+        if k:
+            out.append((b, k))
+    return out
 
 
 def get_table(protocol: PopulationProtocol) -> TransitionTable:
@@ -312,7 +500,9 @@ class EnabledIndex:
       need no ordering.
 
     :meth:`_update` is the one place that applies both rules; every count
-    change, the single-step loops' included, goes through it.
+    change, the single-step loops' included, goes through it.  It is also
+    where a rule key's records get built (:meth:`ModeTable.fill`): a key
+    turning active is built if it is not yet, so every active key is.
 
     Supports are small where it matters.  Wrapping the repair over two
     cycles of each e2e benchmark workload (seed 5) counted 15.0 occupied
@@ -343,6 +533,8 @@ class EnabledIndex:
         "hot1",
         "pair",
         "wmult",
+        "kpos",
+        "fill",
         "cnt",
         "w",
         "active",
@@ -373,6 +565,8 @@ class EnabledIndex:
         self.hot1 = mt.hot1
         self.pair = mt.pair
         self.wmult = mt.wmult
+        self.kpos = mt.kpos
+        self.fill = mt.fill
         self.churn = 0
         self._watched: Optional[Multiset] = None
         self.rebuild(config if config is not None else Multiset())
@@ -447,6 +641,7 @@ class EnabledIndex:
         wmult = self.wmult
         occ = self.occ
         occpos = self.occpos
+        hot = self.hot
         n = self.n
         for s, d in deltas:
             c = cnt[s] + d * k
@@ -499,6 +694,8 @@ class EnabledIndex:
                 activepos = self.activepos
                 for i in flips:
                     if w[i]:
+                        if hot[i] is None:
+                            self.fill(i)
                         activepos[i] = len(active)
                         active.append(i)
                     else:
@@ -586,18 +783,26 @@ class EnabledIndex:
 
     def validate(self, config: Multiset) -> None:
         """Brute-force check of the index invariant against ``config``
-        (test hook; raises ``AssertionError`` on any divergence)."""
+        (test hook; raises ``AssertionError`` on any divergence).  Every
+        key's weight is checked, every active key must be built, and a
+        built key must agree with its pair and weight factor."""
         sid = self.table.sid
         for state, count in config.items():
             assert self.cnt[sid[state]] == count, (state, count)
         expected_total = 0
-        for i, (a, b, off, mult, _cands) in enumerate(self.keys):
-            m_eff = mult if self.mode == "enabled" else 1
+        for i, pos in enumerate(self.kpos):
+            a, b = divmod(pos, self.n)
+            off = 1 if a == b else 0
+            key = self.keys[i]
+            if key is not None:
+                m_eff = key[3] if self.mode == "enabled" else 1
+                assert key[:3] == (a, b, off) and self.wmult[i] == m_eff, (i, key[:4])
             pair = self.cnt[a] * (self.cnt[b] - off)
-            v = max(pair, 0) * m_eff
+            v = max(pair, 0) * self.wmult[i]
             assert self.w[i] == v, (i, self.w[i], v)
             expected_total += v
             assert (i in self.activepos) == (v > 0)
+            assert v == 0 or key is not None, (i, "active but not built")
         assert self.total == expected_total
         assert sorted(self.active) == sorted(self.activepos)
         support = [s for s, c in enumerate(self.cnt) if c > 0]
@@ -630,12 +835,11 @@ def _last_reach(c: int, d: int, lo: int) -> Optional[int]:
     return (c - lo) // (-d)
 
 
-def _first_positive_weight(key, cnt, delta_map) -> Optional[int]:
-    """The first ``j ≥ 0`` at which ``key``'s pair weight is positive
-    while counts evolve as ``cnt[s] + j·delta[s]`` (``None`` if never:
-    some factor never reaches its threshold, or the factors' positive
-    windows do not overlap)."""
-    a, b, off, _mult, _cands = key
+def _first_positive_weight(a, b, cnt, delta_map) -> Optional[int]:
+    """The first ``j ≥ 0`` at which the pair weight of the key ``(a, b)``
+    is positive while counts evolve as ``cnt[s] + j·delta[s]`` (``None``
+    if never: some factor never reaches its threshold, or the factors'
+    positive windows do not overlap)."""
     if a == b:
         bounds = ((cnt[a], delta_map.get(a, 0), 2),)
     else:
@@ -731,6 +935,7 @@ def _batch_length(
     # an empty state the batch leaves alone stays empty.
     w = index.w
     pair = index.pair
+    kpos = index.kpos
     n = index.n
     partners = index.occ + [s for s in delta_map if not cnt[s]]
     seen = set()
@@ -741,7 +946,8 @@ def _batch_length(
                 if i2 < 0 or i2 == i or w[i2] or i2 in seen:
                     continue
                 seen.add(i2)
-                first = _first_positive_weight(keys[i2], cnt, delta_map)
+                a2, b2 = divmod(kpos[i2], n)
+                first = _first_positive_weight(a2, b2, cnt, delta_map)
                 if first is not None and first < k:
                     k = first
     if k <= 1:

@@ -41,8 +41,9 @@ from repro.core.protocol import PopulationProtocol
 #: (e.g. a TransitionTable slot is added): old disk entries then simply
 #: miss instead of deserialising garbage.  v2: checksummed disk format.
 #: v3: ``ModeTable.hot1``.  v4: ``ModeTable.touch`` dropped.  v5:
-#: ``ModeTable.pair``/``wmult`` replace the pickled ``srecs`` lists.
-SCHEMA_VERSION = 5
+#: ``ModeTable.pair``/``wmult`` replace the pickled ``srecs`` lists.  v6:
+#: protocols carry class rules; tables build rule keys on first use.
+SCHEMA_VERSION = 6
 
 #: Disk entry layout: magic, 16-byte blake2b of the payload, payload.
 #: The checksum catches torn writes and bit rot *before* ``pickle.load``
@@ -66,17 +67,32 @@ def protocol_fingerprint(protocol: PopulationProtocol) -> str:
     """A stable content hash of a protocol's defining structure.
 
     Covers the state set (order-insensitively — the compiled table sorts
-    states itself), the transition *sequence* (order matters: candidate
-    order within a key is tie-break-relevant for sampling), and the input
-    and accepting sets.  The display name is deliberately excluded, so
-    identically-structured protocols share one compiled table.
+    states itself), the explicit transition *sequence* and the rule
+    families in order (order matters: candidate order within a key is
+    tie-break-relevant for sampling), each class as its sorted member
+    reprs, and the input and accepting sets.  No rule is expanded.  The
+    display name is deliberately excluded, so identically-structured
+    protocols share one compiled table.
     """
     return _blake(
         [
             f"protocol-v{SCHEMA_VERSION}",
             *sorted(map(repr, protocol.states)),
             "|delta|",
-            *(repr(t) for t in protocol.transitions),
+            *(repr(t) for t in protocol.explicit),
+            "|rules|",
+            *(
+                part
+                for family in protocol.rules
+                for part in (
+                    "family",
+                    *(
+                        f"{sorted(map(repr, rule.A))} x {sorted(map(repr, rule.B))}"
+                        f" -> {rule.q2!r}, {rule.r2!r}"
+                        for rule in family
+                    ),
+                )
+            ),
             "|I|",
             *sorted(map(repr, protocol.input_states)),
             "|O|",
@@ -138,6 +154,11 @@ class ArtifactCache:
         self.disk_hits = 0
         self.misses = 0
         self.corrupt_entries = 0
+        #: Lookups addressed by arguments, memoised to their content
+        #: fingerprints (:func:`cached_compile_threshold_protocol`).  In
+        #: memory only: after a code change the same arguments may name
+        #: different content.
+        self.fingerprints: Dict[Any, str] = {}
 
     # -- core protocol --------------------------------------------------
     def _path(self, key: str) -> Path:
@@ -351,17 +372,31 @@ def cached_compile_program(
     names).  ``observer`` only sees stage events on a miss — a cache hit
     does no observable work.
     """
+    return _cached_pipeline(
+        program_fingerprint(program), name, lambda: program, observer, cache
+    )
+
+
+def _cached_pipeline(
+    fingerprint: str,
+    name: str,
+    make_program: Callable[[], Any],
+    observer,
+    cache: Optional[ArtifactCache],
+):
+    """The pipeline under ``pipeline-{name}-{fingerprint}``; the program
+    is asked for only on a miss."""
     from repro.conversion.pipeline import compile_program
     from repro.observability import spans as _spans
 
     cache = cache if cache is not None else artifact_cache()
-    key = f"pipeline-{name}-{program_fingerprint(program)}"
+    key = f"pipeline-{name}-{fingerprint}"
     sp = _spans.begin("cache:pipeline", name=name)
     misses_before = cache.misses
     hits_before, disk_before = cache.hits, cache.disk_hits
     try:
         result = cache.get_or_build(
-            key, lambda: compile_program(program, name, observer=observer)
+            key, lambda: compile_program(make_program(), name, observer=observer)
         )
     except BaseException:
         _spans.finish(sp, "error")
@@ -380,10 +415,22 @@ def cached_compile_threshold_protocol(
     observer=None,
     cache: Optional[ArtifactCache] = None,
 ):
-    """Theorem 1's compiled pipeline for ``n`` levels, via the cache."""
+    """Theorem 1's compiled pipeline for ``n`` levels, via the cache.  The
+    cache memoises the program's fingerprint per ``(n, error_checking)``,
+    so a warm hit neither builds nor hashes the program."""
     from repro.lipton.construction import build_threshold_program
 
-    program = build_threshold_program(n, error_checking=error_checking)
-    return cached_compile_program(
-        program, name=f"lipton-n{n}", observer=observer, cache=cache
+    cache = cache if cache is not None else artifact_cache()
+    args = ("lipton", n, error_checking)
+    program = None
+    fingerprint = cache.fingerprints.get(args)
+    if fingerprint is None:
+        program = build_threshold_program(n, error_checking=error_checking)
+        fingerprint = cache.fingerprints[args] = program_fingerprint(program)
+    return _cached_pipeline(
+        fingerprint,
+        f"lipton-n{n}",
+        lambda: program or build_threshold_program(n, error_checking=error_checking),
+        observer,
+        cache,
     )

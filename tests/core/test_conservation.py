@@ -27,7 +27,7 @@ def iter_cands(table):
 
 
 def assert_table_conserves(protocol):
-    table = get_table(protocol)
+    table = get_table(protocol).materialise()
     checked = 0
     for mode_name, cand in iter_cands(table):
         deltas = cand[6]

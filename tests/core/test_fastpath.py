@@ -235,7 +235,7 @@ class TestOccupancyRepair:
         assert swaps >= steps // 10
 
     def test_pair_map_agrees_with_keys(self, thr2_pipeline):
-        table = get_table(thr2_pipeline.protocol)
+        table = get_table(thr2_pipeline.protocol).materialise()
         n = len(table.states)
         for mt in (table.enabled, table.uniform):
             assert len(mt.pair) == n * n
@@ -446,7 +446,7 @@ THR2_PINS = [
 
 class TestCompiledProtocolPins:
     def test_thr2_table_is_pinned(self, thr2_pipeline):
-        assert table_digest(TransitionTable(thr2_pipeline.protocol)) == (
+        assert table_digest(TransitionTable(thr2_pipeline.protocol).materialise()) == (
             THR2_TABLE_DIGEST
         )
 
@@ -454,7 +454,7 @@ class TestCompiledProtocolPins:
         """The compile builds each candidate's records once: an enabled
         key's candidate and hot records are the very objects of the
         uniform key for the same pair, minus its no-ops."""
-        table = TransitionTable(thr2_pipeline.protocol)
+        table = TransitionTable(thr2_pipeline.protocol).materialise()
         uniform = {key[:2]: i for i, key in enumerate(table.uniform.keys)}
         noops = 0
         for i, (a, b, _off, _mult, cands) in enumerate(table.enabled.keys):

@@ -156,6 +156,24 @@ class TestCachedCompilations:
         assert second is first
         assert first.protocol.states
 
+    def test_threshold_warm_hit_builds_no_program(self, monkeypatch):
+        import repro.lipton.construction as construction
+
+        real = construction.build_threshold_program
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(construction, "build_threshold_program", counting)
+        cache = ArtifactCache()
+        first = cached_compile_threshold_protocol(1, cache=cache)
+        assert len(builds) == 1  # a miss compiles the program once
+        second = cached_compile_threshold_protocol(1, cache=cache)
+        assert second is first
+        assert len(builds) == 1  # the warm hit builds and hashes nothing
+
     def test_cross_process_disk_warming(self, tmp_path):
         """A second *process* sharing ``REPRO_CACHE_DIR`` compiles nothing:
         it warms from the disk layer, and the ambient tracer's
