@@ -30,18 +30,12 @@ Usage::
     python -m repro chaos --churn              # X5 churn-recovery experiment
     python -m repro chaos --churn --smoke      # quick churn smoke check
 
-    python -m repro serve decide --port 9100   # run with live HTTP telemetry
-    python -m repro serve decide --smoke       # CI: probe endpoints, exit
-    python -m repro top http://127.0.0.1:9100  # live span-tree terminal view
-
-``trace``/``stats``/``serve`` targets are the observed reference
-workloads of :mod:`repro.observability.runners` (the Theorem 3 program,
-a baseline protocol simulation, the lowered machine, the compilation
-pipeline).  ``trace`` additionally writes the run's span tree
-(``*.spans.json``) and provenance manifest (``*.manifest.json``) next to
-the JSONL; ``serve`` exposes the live registry as Prometheus
-(``/metrics``) plus an SSE event stream (``/events``) while the workload
-runs, and ``top`` renders a refreshing span tree against such a server.
+``trace``/``stats`` targets are the observed reference workloads of
+:mod:`repro.observability.runners` (the Theorem 3 program, a baseline
+protocol simulation, a multi-attempt ``decide``, the lowered machine,
+the compilation pipeline).
+``trace`` additionally writes the run's span tree (``*.spans.json``) and
+provenance manifest (``*.manifest.json``) next to the JSONL.
 ``bench`` drives the pytest-benchmark suites under ``benchmarks/`` and,
 with ``--check``, compares every ``*.ops_per_second`` gauge of the fresh
 run against a baseline JSON (default: the committed
@@ -475,182 +469,6 @@ def _run_observe(command: str, argv: Tuple[str, ...]) -> int:
     return 0
 
 
-def _run_serve(argv: Tuple[str, ...]) -> int:
-    """``python -m repro serve`` — run a workload with live telemetry.
-
-    Starts a :class:`~repro.observability.live.TelemetryServer`, wires a
-    span tracer + metrics registry + event bus into the chosen workload,
-    runs it, then keeps serving the final snapshot (``--linger`` bounds
-    that; ``--smoke`` instead probes every endpoint once and exits, as a
-    CI health check).
-    """
-    from repro.observability.live import (
-        EventBus,
-        LiveObserver,
-        TelemetryServer,
-        fetch_json,
-        fetch_text,
-        run_top,
-    )
-    from repro.observability.metrics import MetricsObserver
-    from repro.observability.observer import CompositeObserver
-    from repro.observability.profile import ProfilingObserver
-    from repro.observability.report import summarize
-    from repro.observability.runners import TARGETS
-    from repro.observability.spans import SpanTracer, activate
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="Run an observed workload with a live telemetry server "
-        "(Prometheus /metrics, SSE /events, JSON /spans + /manifest).",
-    )
-    parser.add_argument(
-        "target",
-        nargs="?",
-        default="decide",
-        choices=sorted(TARGETS),
-        help="workload to run (default: decide)",
-    )
-    parser.add_argument("--n", type=int, default=None, help="construction levels n")
-    parser.add_argument(
-        "--total", type=int, default=None, help="input total m (register x1 / agents)"
-    )
-    parser.add_argument("--seed", type=int, default=None, help="rng seed")
-    parser.add_argument(
-        "--max-steps", type=int, default=None, help="step/interaction budget"
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument(
-        "--port", type=int, default=0, help="bind port (0 = ephemeral)"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="process-pool width for parallelisable targets (sets REPRO_JOBS; "
-        "0 = all cores, default 1 = sequential)",
-    )
-    parser.add_argument(
-        "--linger",
-        type=float,
-        default=None,
-        help="seconds to keep serving after the run (default: until Ctrl-C)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="probe /healthz /metrics /spans /events once after the run, "
-        "render one top frame, then exit (CI health check)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.jobs is not None:
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-    kwargs = {}
-    for key in ("n", "total", "seed", "max_steps"):
-        value = getattr(args, key)
-        if value is not None:
-            kwargs[key] = value
-
-    metrics = MetricsObserver()
-    bus = EventBus()
-    tracer = SpanTracer(metrics=metrics.metrics, listener=bus.publish_span)
-    server = TelemetryServer(
-        metrics=metrics.metrics,
-        tracer=tracer,
-        bus=bus,
-        host=args.host,
-        port=args.port,
-    )
-    # The live/profiling observers ride along in the target's ``recorder``
-    # slot — it is composed, never written to disk, so any Observer fits.
-    extra = CompositeObserver(ProfilingObserver(metrics.metrics), LiveObserver(bus))
-    server.start()
-    try:
-        print(
-            f"serving telemetry at {server.url} "
-            "(/metrics /spans /events /manifest /healthz)"
-        )
-        start = time.time()
-        with activate(tracer):
-            run = TARGETS[args.target](recorder=extra, metrics=metrics, **kwargs)
-        server.manifest = run.manifest
-        print(run.outcome)
-        print(summarize(metrics))
-        print(f"run finished in {time.time() - start:.1f}s; snapshot still served")
-
-        if args.smoke:
-            failures = []
-            health = fetch_text(f"{server.url}/healthz").splitlines()
-            if not health or health[0].strip() != "ok":
-                failures.append("/healthz")
-            if "repro_interactions_total" not in fetch_text(f"{server.url}/metrics"):
-                failures.append("/metrics")
-            if not fetch_json(f"{server.url}/spans").get("children"):
-                failures.append("/spans")
-            if run.manifest is not None and not fetch_json(
-                f"{server.url}/manifest"
-            ).get("target"):
-                failures.append("/manifest")
-            if run_top(server.url, frames=1, plain=True) != 1:
-                failures.append("top")
-            if failures:
-                print(f"serve smoke FAILED: {failures}", file=sys.stderr)
-                return 1
-            print("serve smoke ok (healthz, metrics, spans, manifest, top)")
-            return 0
-
-        if args.linger is not None:
-            time.sleep(args.linger)
-        else:
-            try:
-                while True:
-                    time.sleep(1.0)
-            except KeyboardInterrupt:
-                print("\nstopping")
-        return 0
-    finally:
-        server.stop()
-
-
-def _run_top(argv: Tuple[str, ...]) -> int:
-    """``python -m repro top`` — live span-tree view of a telemetry server."""
-    from repro.observability.live import run_top
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro top",
-        description="Render the live span tree of a `repro serve` endpoint.",
-    )
-    parser.add_argument(
-        "url",
-        nargs="?",
-        default="http://127.0.0.1:9100",
-        help="telemetry server base URL (default: http://127.0.0.1:9100)",
-    )
-    parser.add_argument(
-        "--frames",
-        type=int,
-        default=None,
-        help="number of refreshes (default: until the server goes away)",
-    )
-    parser.add_argument(
-        "--interval", type=float, default=1.0, help="seconds between refreshes"
-    )
-    parser.add_argument(
-        "--plain",
-        action="store_true",
-        help="no ANSI clear-screen between frames (log-friendly)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        rendered = run_top(
-            args.url, frames=args.frames, interval=args.interval, plain=args.plain
-        )
-    except KeyboardInterrupt:
-        return 0
-    return 0 if rendered else 1
-
-
 def _emit_diagnostics(diagnostics, *, as_json: bool, fail_on: str, **extra) -> int:
     """Shared tail of ``check``/``lint``: print findings (text or JSON)
     and map them to the exit-code contract — 0 when nothing at or above
@@ -962,10 +780,6 @@ def main(argv: Tuple[str, ...] = tuple(sys.argv[1:])) -> int:
         return _run_lint(tuple(argv[1:]))
     if argv and argv[0] == "chaos":
         return _run_chaos(tuple(argv[1:]))
-    if argv and argv[0] == "serve":
-        return _run_serve(tuple(argv[1:]))
-    if argv and argv[0] == "top":
-        return _run_top(tuple(argv[1:]))
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's tables and figures.",

@@ -22,11 +22,6 @@ The instrumentation layer for the whole simulator stack:
   engine-level ``sim.*`` throughput/churn metrics;
 * :mod:`~repro.observability.export` — Prometheus text exposition and
   per-run provenance manifests (:class:`RunManifest`);
-* :mod:`~repro.observability.live` — event bus, HTTP/SSE telemetry
-  server and the ``repro top`` renderer (import the submodule
-  explicitly: ``from repro.observability.live import TelemetryServer``;
-  the package attribute ``live`` stays the observer-normalising
-  *function*);
 * :mod:`~repro.observability.runners` — observed reference workloads
   behind ``python -m repro trace`` / ``python -m repro stats``
   (imported lazily: ``from repro.observability import runners``).
@@ -75,16 +70,6 @@ from repro.observability.spans import (
     span,
 )
 from repro.observability.trace import TraceRecorder
-
-# ``live`` names both the observer-normalising function and the streaming
-# submodule.  Importing the submodule binds it over the function on the
-# package, so do that eagerly and rebind the function afterwards: the
-# package attribute is then stably the function, while
-# ``sys.modules["repro.observability.live"]`` (and explicit
-# ``from repro.observability.live import ...``) reach the submodule.
-import repro.observability.live  # noqa: E402,F401  (eager: see above)
-
-from repro.observability.observer import live  # noqa: E402,F811
 
 __all__ = [
     "ALL_KINDS",

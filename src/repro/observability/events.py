@@ -37,7 +37,6 @@ HANG = "hang"  # a move from an empty register hung the run
 ATTEMPT = "attempt"  # decide() started a retry attempt
 STAGE = "stage"  # a compilation-pipeline stage completed
 FAULT = "fault"  # an injected fault fired (see repro.resilience)
-SPAN = "span"  # a hierarchical span completed (see observability.spans)
 TRUNCATED = "truncated"  # a bounded recorder started evicting events
 
 # Layers, as used in the ``layer`` payload key.
@@ -65,7 +64,6 @@ ALL_KINDS = frozenset(
         ATTEMPT,
         STAGE,
         FAULT,
-        SPAN,
         TRUNCATED,
     }
 )

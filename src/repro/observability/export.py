@@ -4,9 +4,8 @@ Two machine-facing serialisations of a run's telemetry:
 
 * :func:`metrics_to_prometheus` renders a
   :class:`~repro.observability.metrics.Metrics` registry in the
-  Prometheus text exposition format (version 0.0.4) — the format any
-  Prometheus-compatible scraper, including the ``/metrics`` endpoint in
-  :mod:`repro.observability.live`, expects.  The output is deterministic
+  Prometheus text exposition format (version 0.0.4), the format any
+  Prometheus-compatible scraper reads.  The output is deterministic
   (families and labels sorted, no timestamps) so it can be pinned by a
   golden-file test;
 * :class:`RunManifest` / :func:`build_manifest` produce the per-run
@@ -14,8 +13,7 @@ Two machine-facing serialisations of a run's telemetry:
   audit a run — content fingerprints of the protocol/program (from
   :mod:`repro.runtime.cache`), the root seed, the fault-plan digest, the
   scheduler and job count, cache hit/miss counts, and the package
-  version.  ``repro trace`` writes one next to every trace, and the
-  future run-registry service will key on it.
+  version.  ``repro trace`` writes one next to every trace.
 """
 
 from __future__ import annotations

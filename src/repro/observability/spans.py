@@ -21,10 +21,7 @@ Design constraints, mirroring the observer layer:
   with :meth:`SpanTracer.adopt`, the same shape as ``Metrics.merge``.
   :meth:`SpanTracer.structure` reduces the tree to names and counts only
   (no timings, no pids), which is the form the ``jobs=1`` ≡ ``jobs=N``
-  determinism tests compare;
-* **live streaming** — an optional ``listener`` callable fires on every
-  span completion (local or adopted), which is how the SSE layer
-  (:mod:`repro.observability.live`) sees span events as they happen.
+  determinism tests compare.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 Label = Any  # stringified on use; int indices and str labels both fine
 
@@ -115,9 +112,6 @@ class SpanTracer:
         every completed or adopted span lands there as a
         ``span.<name>`` counter and a ``span.<name>.seconds`` histogram,
         which is what puts ``span.*`` stats into ``summarize()``.
-    listener:
-        Optional callable invoked with each completed/adopted
-        :class:`Span` — the live-streaming hook.
     """
 
     def __init__(
@@ -125,13 +119,11 @@ class SpanTracer:
         root: Sequence[Label] = (),
         *,
         metrics: Any = None,
-        listener: Optional[Callable[[Span], None]] = None,
     ):
         self.root: Tuple[str, ...] = tuple(str(p) for p in root)
         self.spans: List[Span] = []
         self._stack: List[Span] = []
         self.metrics = metrics
-        self.listener = listener
         self._clock = time.perf_counter
 
     # -- recording ------------------------------------------------------
@@ -167,8 +159,6 @@ class SpanTracer:
                 self.metrics.histogram(f"span.{span.name}.seconds").observe(
                     span.seconds
                 )
-        if self.listener is not None:
-            self.listener(span)
 
     @contextmanager
     def span(self, label: Label, **attrs: Any):

@@ -50,18 +50,6 @@ def _test_procedure(name: str, count: int, src: str, dst: str):
     )
 
 
-def _clean_procedure(src_back: str, dst_back: str, noise: str, include_swap: bool):
-    """``Clean``: restart if the noise register is nonempty, then move some
-    number of units from ``dst_back`` to ``src_back`` (Figure 1, right
-    column).  The swap is superfluous, as the paper notes; we keep it to
-    match the figure verbatim (and to exercise swap lowering)."""
-    body = [If(Detect(noise), then_body=seq(Restart()))]
-    if include_swap:
-        body.append(Swap(src_back, dst_back))
-    body.append(While(Detect(dst_back), seq(Move(dst_back, src_back))))
-    return procedure("Clean", *body)
-
-
 def interval_program(
     lo: int, hi: int, *, include_noise_register: bool = True, include_swap: bool = True
 ) -> PopulationProgram:

@@ -107,31 +107,12 @@ class TestStatsCommand:
         assert main(("figures-lowering",)) == 0
         assert "figures-lowering" in capsys.readouterr().out
 
-
-class TestServeCommand:
-    def test_serve_smoke_probes_every_endpoint(self, capsys):
-        code = main(
-            (
-                "serve",
-                "protocol",
-                "--total",
-                "12",
-                "--max-steps",
-                "5000",
-                "--smoke",
-            )
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "serving telemetry at http://127.0.0.1:" in printed
-        assert "serve smoke ok" in printed
-        assert "repro top —" in printed  # one rendered frame
-
-    def test_serve_smoke_parallel_decide(self, capsys, monkeypatch):
+    def test_stats_parallel_decide(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
+        out = tmp_path / "decide.json"
         code = main(
             (
-                "serve",
+                "stats",
                 "decide",
                 "--n",
                 "4",
@@ -141,16 +122,20 @@ class TestServeCommand:
                 "20000",
                 "--jobs",
                 "2",
-                "--smoke",
+                "--out",
+                str(out),
             )
         )
         assert code == 0
         printed = capsys.readouterr().out
-        assert "serve smoke ok" in printed
-        assert "attempt:0" in printed
+        assert "attempt:0" in printed.split("spans:")[1]
+        assert json.loads(out.read_text())["counters"]["interactions"] > 0
 
 
-class TestTopCommand:
-    def test_top_against_dead_server_fails_cleanly(self, capsys):
-        assert main(("top", "http://127.0.0.1:1", "--frames", "1")) == 1
-        assert "cannot reach" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "argv", [("serve", "--smoke"), ("top", "--frames", "1")], ids=["serve", "top"]
+)
+def test_removed_verbs_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

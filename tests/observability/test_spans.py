@@ -62,14 +62,6 @@ class TestSpanTracer:
         assert metrics.counter("span.step").value == 2
         assert metrics.histogram("span.step.seconds").count == 2
 
-    def test_listener_sees_completed_spans(self):
-        seen = []
-        tracer = SpanTracer(listener=seen.append)
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-        assert [s.name for s in seen] == ["b", "a"]  # completion order
-
     def test_payload_roundtrip_and_adoption_reroots(self):
         worker = SpanTracer()
         with worker.span("attempt:3"):
