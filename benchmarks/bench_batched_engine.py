@@ -20,7 +20,7 @@ throughput:
   fixed 50× bound at 10^6 stood here while the per-step engine repaired
   its index by walking every key of a changed state; its pair-map
   repair made that engine 30–40× faster, and the ratio now reads about
-  20–35× on a 2-vCPU VM.)  Batching stops paying at small ``n``
+  29–33× on a 2-vCPU VM.)  Batching stops paying at small ``n``
   because batch length scales with ``sqrt(n)``.
 
 The batched engine uses the numpy backend when available (CI installs
@@ -113,7 +113,7 @@ def test_batched_throughput_n1e6(benchmark, bench_metrics, warm_pipeline):
 def test_batched_throughput_n1e8(benchmark, bench_metrics, warm_pipeline):
     # The scale criterion: an n = 10^8 run completes in seconds.  Batch
     # length grows ~ sqrt(n), so larger populations run *faster* per
-    # interaction — 20M interactions take ~0.6s on a 2-vCPU VM.
+    # interaction — 20M interactions take about 0.11 s on a 2-vCPU VM.
     budget = 20_000_000
     once(benchmark, _run, warm_pipeline, 10**8, budget, engine="batched")
     record_benchmark(bench_metrics, "batched.n1e8", benchmark, units=budget)

@@ -60,14 +60,16 @@ output flip that both appears and disappears strictly inside one batch is
 not observed — the same character of heuristic as the convergence window
 itself.  Silence, by contrast, stays exact and is checked every batch.
 
-numpy is optional (the ``repro[batch]`` extra).  With it, batches are
-sampled via ``Generator.multivariate_hypergeometric`` and paired with a
-single permutation; without it (or with ``REPRO_NO_NUMPY=1``) a pure
-stdlib sampler draws the ``2l`` agents sequentially — same law, lower
-throughput.  Both backends layer on the run's ``random.Random`` stream:
-the Python rng drives batch lengths and collision draws, and the numpy
-generator (when present) is seeded once per run from that stream, so
-runs are deterministic per (seed, backend).
+numpy is optional (the ``repro[batch]`` extra).  With it, a batch is
+sampled by numpy's hypergeometric draws, one of two exact ways per
+batch (see :class:`_NumpySampler`).  Without it, with
+``REPRO_NO_NUMPY=1``, or from ``NUMPY_POPULATION_LIMIT`` = 10^9 agents
+up (numpy rejects such counts), a pure stdlib sampler draws the ``2l``
+agents sequentially — same law, lower throughput.  Both backends layer
+on the run's ``random.Random`` stream: the Python rng drives batch
+lengths and collision draws, and the numpy generator (when present) is
+seeded once per run from that stream, so runs are deterministic per
+(seed, backend).
 
 Cost
 ----
@@ -77,13 +79,16 @@ silence is decided, through the uniform mode's dense pair map.  A
 batch's Python work grows with the occupied support — the states with a
 positive count — never with ``|Q|``: the samplers draw over the
 support, and the count deltas and post-batch states are sparse.  From
-the all-input configuration (seed 1), a batch's support averages 3–6
+the all-input configuration (seed 1), a batch's support averages 3–5
 states on the 294-state thr2 protocol at n = 10^5 … 10^8, and 16.5 (at
 most 21) at n = 10^3 on Theorem 1's 876-state protocol at n=1.  The
-numpy draws dominate what is left.  On that protocol (2-vCPU VM,
-min-of-3) a one-interaction call takes 0.26 ms, and the engine runs
-0.29M interactions/s at n = 10^3, 0.75M/s at 10^4, 6.9M/s at 10^6 and
-31M/s at 10^8.
+numpy draws still dominate what is left: on thr2 at n = 10^5 … 10^8
+pairing takes 41–57% of a call (14–32 µs per batch, mostly numpy's
+per-call cost of about 2 µs a scalar draw) and the batch-length
+bisection 10–24% (6–8 µs per batch).  On Theorem 1's protocol at n=1
+(2-vCPU VM, min-of-3) a one-interaction call takes 0.15 ms, and the
+engine runs 0.34M interactions/s at n = 10^3, 1.05M/s at 10^4, 11M/s at
+10^6 and 185M/s at 10^8.
 """
 
 from __future__ import annotations
@@ -103,6 +108,21 @@ from repro.observability.events import LAYER_PROTOCOL
 
 _np = None
 _np_checked = False
+
+#: numpy's hypergeometric samplers reject a sum of colors, or an
+#: ``ngood``/``nbad``, of 10^9 or more; at or above this population a run
+#: uses the pure sampler.
+NUMPY_POPULATION_LIMIT = 10**9
+
+#: Per-batch cost of the numpy sampler's two paths, in µs on a 2-vCPU
+#: VM (numpy 2.4, fitted to 400 batches of each seed-1 run on thr2 and
+#: Theorem 1's protocol at n=1, 10^3 … 10^8 agents): the rows path costs
+#: about ``_ROWS_DRAW_COST·|support|²``, the permutation path
+#: ``_PERMUTE_COST + _PERMUTE_PAIR_COST·l``.  The cheaper one by this
+#: rule costs within 2% of the faster path per batch on each run.
+_ROWS_DRAW_COST = 1.9
+_PERMUTE_COST = 48.0
+_PERMUTE_PAIR_COST = 0.024
 
 
 def _numpy():
@@ -415,15 +435,50 @@ class _PureSampler(_SamplerBase):
         return out
 
 
-class _NumpySampler(_SamplerBase):
-    """numpy batch sampler.
+def _hyper_chain(hyper, colors, total: int, n: int) -> List[int]:
+    """One ``MVH(colors, n)`` draw as a chain of scalar hypergeometrics:
+    state ``j`` takes ``Hyp(colors[j], rest, n left)`` of the sample,
+    where ``rest`` counts the agents of the states after ``j``.
+    ``colors`` sums to ``total``; the chain stops once the sample is
+    spent or only one state is left to hold it."""
+    out = [0] * len(colors)
+    for j, c in enumerate(colors):
+        if not n:
+            break
+        total -= c
+        if not total:
+            out[j] = n
+            break
+        if c:
+            x = hyper(c, total, n)
+            out[j] = x
+            n -= x
+    return out
 
-    Initiator counts ``I ~ MVH(C, l)`` and responder counts
-    ``R ~ MVH(C - I, l)`` are nested multivariate hypergeometrics over
-    the *occupied* states; pairing the two sides is a uniform random
-    matching, realised by permuting the responder sequence once and
-    counting the ``(initiator, responder)`` pairs of local ids — the
-    positions in ``occ`` — over ``|support|²`` codes.
+
+class _NumpySampler(_SamplerBase):
+    """numpy batch sampler, with two exact paths over the *occupied*
+    states.  Both draw the initiator counts ``I ~ MVH(C, l)`` and the
+    responder counts ``R ~ MVH(C - I, l)``; they differ in how they pair
+    the two sides by a uniform random matching.
+
+    * **Permutation** (short, wide batches): ``I`` and ``R`` come from
+      ``multivariate_hypergeometric``; the responder sequence is permuted
+      once and the ``(initiator, responder)`` pairs of local ids — the
+      positions in ``occ`` — are counted over ``|support|²`` codes.
+      Linear in ``l``.
+    * **Rows** (long batches): ``I``, ``R`` and then each initiator
+      state's row of responders, ``MVH(R left, I_a)``, are chains of
+      scalar ``hypergeometric`` draws — ``O(|support|²)`` draws however
+      long the batch.  A uniform matching gives the ``I_a`` slots of
+      initiator state ``a`` a uniform sample without replacement of the
+      responders the earlier rows left, so the rows have exactly the
+      matching's law ``P(M | I, R) = Π I_a! Π R_b! / (l! Π M_ab!)``.
+
+    :meth:`sample_pairs` picks the cheaper path per batch from ``l`` and
+    ``|support|`` by the cost model of ``_ROWS_DRAW_COST`` and
+    ``_PERMUTE_*``: rows on every batch over at most five states, and on
+    a wider one once ``l`` makes the permutation dearer than its draws.
     """
 
     backend = "numpy"
@@ -436,8 +491,45 @@ class _NumpySampler(_SamplerBase):
 
     def sample_pairs(self, occ, colors, length: int):
         """Same contract as :meth:`_PureSampler.sample_pairs`, with the
-        pairs in ascending code order.  ``occ`` is ascending, so local
-        ids order and permute exactly as global ids would."""
+        pairs in ascending code order."""
+        k = len(occ)
+        permute = _PERMUTE_COST + _PERMUTE_PAIR_COST * length
+        if _ROWS_DRAW_COST * k * k < permute:
+            return self.pairs_by_rows(occ, colors, length)
+        return self.pairs_by_permutation(occ, colors, length)
+
+    def pairs_by_rows(self, occ, colors, length: int):
+        """The rows path of :meth:`sample_pairs`: ``O(|support|²)``
+        scalar draws, independent of ``length``."""
+        hyper = self.np_rng.hypergeometric
+        initiators = _hyper_chain(hyper, colors, self.m, length)
+        left = [c - i for c, i in zip(colors, initiators)]
+        responders = _hyper_chain(hyper, left, self.m - length, length)
+        fresh = [c - r for c, r in zip(left, responders)]
+        S = self.S
+        pairs = []
+        pool = responders  # the responders no row has taken yet
+        rest = length
+        for a, row_size in zip(occ, initiators):
+            if not row_size:
+                continue
+            if row_size == rest:  # the last row takes every responder left
+                row = pool
+            else:
+                row = _hyper_chain(hyper, pool, rest, row_size)
+            base = a * S
+            for b, count in zip(occ, row):
+                if count:
+                    pairs.append((base + b, count))
+            if row is not pool:
+                pool = [p - r for p, r in zip(pool, row)]
+            rest -= row_size
+        return pairs, fresh
+
+    def pairs_by_permutation(self, occ, colors, length: int):
+        """The permutation path of :meth:`sample_pairs`.  ``occ`` is
+        ascending, so local ids order and permute exactly as global ids
+        would."""
         np_rng = self.np_rng
         k = len(occ)
         colors = _np.array(colors, dtype=_np.int64)
@@ -541,7 +633,7 @@ def run_batched_simulation(
     uchanging = table.uniform.changing
     ufill = table.uniform.fill
 
-    use_numpy = numpy_available() and population <= (1 << 62)
+    use_numpy = numpy_available() and population < NUMPY_POPULATION_LIMIT
     sampler_cls = _NumpySampler if use_numpy else _PureSampler
     sampler = sampler_cls(rng, S, population)
 
@@ -660,7 +752,11 @@ def run_batched_simulation(
             if view.size_delta:
                 m += view.size_delta
                 view.size_delta = 0
-                if m >= 2:
+                if m >= NUMPY_POPULATION_LIMIT and sampler.backend == "numpy":
+                    # Joins crossed numpy's limit: the pure sampler takes
+                    # the run over, on the same Python stream.
+                    sampler = _PureSampler(rng, S, m)
+                elif m >= 2:
                     sampler.set_population(m)
             flip_check(interactions)
 

@@ -1,12 +1,14 @@
 """The batched multinomial engine: DenseConfig ≡ Multiset, engine
 selection plumbing, golden-seed and whole-run pins per sampler backend,
-the silence check against the reference predicate, distributional
-equivalence against the per-step uniform engine, verdict agreement, and
-batch-granularity observability."""
+runs at numpy's population limit, the exact pairing law of one batch per
+sampler path, the silence check against the reference predicate,
+distributional equivalence against the per-step uniform engine, verdict
+agreement, and batch-granularity observability."""
 
 import hashlib
 import pickle
 import random
+from math import comb, factorial, prod, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,12 @@ from repro.core import (
     resolve_engine,
     scheduler_for_engine,
     simulate,
+)
+from repro.core.batched import (
+    NUMPY_POPULATION_LIMIT,
+    _NumpySampler,
+    _PureSampler,
+    _numpy,
 )
 from repro.core.semantics import is_silent
 from repro.core.simulation import (
@@ -261,10 +269,10 @@ class TestGoldenSeeds:
     draws shows up as a pin break, not a silent distribution shift."""
 
     PINS = {
-        # seed 1234 reaches exact silence at 304 interactions under the
+        # seed 1234 reaches exact silence at 371 interactions under the
         # numpy sampler; the pure sampler's draw order differs, so that
         # trajectory runs to the full 400-interaction budget.
-        "numpy": (304, 46, (("X", 9), ("x", 42))),
+        "numpy": (371, 54, (("X", 9), ("x", 42))),
         "pure": (400, 58, (("X", 10), ("Y", 1), ("x", 40))),
     }
 
@@ -423,42 +431,42 @@ def run_case(case, request):
 
 #: ``run_digest`` per case id: ``(numpy, pure)``.
 RUN_PINS = {
-    "thr2-n50-budget5000-seed0": ("0c309b33d2f890a0", "0cd4b6deb287a0df"),
-    "thr2-n50-budget5000-seed1": ("9462e1119be43e2f", "845b870ef40fee67"),
-    "thr2-n50-budget5000-seed2": ("8d931866fe58e155", "ffb228c5a1acec13"),
-    "thr2-n2000-budget20000-seed0": ("62374acc5989ef33", "403827a6c269f6cb"),
-    "thr2-n2000-budget20000-seed1": ("10e9bc84f3c594fd", "db3394cc3b8b02e4"),
-    "thr2-n2000-budget20000-seed2": ("f20ddddf32bd41fa", "efb7558c0f5f9b78"),
-    "thr2-n100000-budget100000-seed0": ("ffa05e8505c96328", "32f5cce228be6f88"),
-    "thr2-n100000-budget100000-seed1": ("c2c017971ea3f4b6", "cb793cd4651926e8"),
-    "thr2-n100000-budget100000-seed2": ("9f594c7780961c80", "94106104a66a35b4"),
-    "thr2-n1000000-budget200000-seed0": ("ef51d377ed86324b", "5eebc2b7a892817d"),
-    "thr2-n1000000-budget200000-seed1": ("0e727ba4b4298b87", "50a8d8579ecd61d5"),
-    "thr2-n1000000-budget200000-seed2": ("f782efadfb2d99db", "aeb66f4b126ac6ea"),
-    "thr2-n100000000-budget200000-seed0": ("40d661d170395e8b", "8696f4c58025edc1"),
-    "thr2-n100000000-budget200000-seed1": ("02abcdeb6dd26a78", "2c785bf6c0c98adb"),
-    "thr2-n100000000-budget200000-seed2": ("8a0b13db564fc360", "cb89ca0522eddfbb"),
-    "thr2-n8-budget200000-window20-seed0": ("0b8b13fd12735ba3", "fa62e5117781ac8c"),
-    "thr2-n8-budget200000-window20-seed1": ("8eff2a4485e21480", "fda70e9ba59b7564"),
-    "thr2-n8-budget200000-window20-seed2": ("2508d0a1b0d590fd", "73616e4c47bb9761"),
-    "thr2-n10-budget200000-window300-seed0": ("a87c1e82886cfb30", "77845bd3b573fd37"),
-    "thr2-n10-budget200000-window300-seed1": ("3c948d0fed91e65b", "741961eab4de00d7"),
-    "thr2-n10-budget200000-window300-seed2": ("dd117c9d7f4d391e", "b1da61136e4a857d"),
-    "thr2-n13-budget200000-window300-seed0": ("7057e126182085a9", "316f6b795b339ff6"),
-    "thr2-n13-budget200000-window300-seed1": ("6b19ec704697acbe", "b913ca74e8a9d812"),
-    "thr2-n13-budget200000-window300-seed2": ("961ec869328bc74a", "deab346743b8bbb0"),
-    "thr2-n100000-budget200000-faults-seed0": ("48d916e935f8f14d", "3c8d717650cde67d"),
-    "thr2-n100000-budget200000-faults-seed1": ("607a7be48ce8e84f", "6ec27d50817239aa"),
-    "thr2-n100000-budget200000-faults-seed2": ("90fa14c47d313ea5", "03600c0f9ea25e2f"),
-    "thr2-n2000-budget20000-profiled-seed0": ("62374acc5989ef33", "403827a6c269f6cb"),
-    "thr2-n2000-budget20000-profiled-seed1": ("10e9bc84f3c594fd", "db3394cc3b8b02e4"),
-    "thr2-n50-budget20000-first-seed0": ("b37989bbecb70f2c", "3ec11e92657408d0"),
-    "thr2-n50-budget20000-first-seed1": ("6d7408649c12ba81", "c1cc00e30fd47ad6"),
-    "majority-n59000-budget200000-seed0": ("56afab78abbfe131", "c50eec01da08980f"),
-    "majority-n59000-budget200000-seed1": ("6fca531a407d397f", "4e6be2afdd6aa49e"),
-    "majority-n59000-budget200000-seed2": ("31331721fc80a2cd", "305d2de6477a0a56"),
-    "lipton1-n1000-budget20000-seed0": ("2889af1ab9bcadcb", "34d9a860de090c30"),
-    "lipton1-n1000000-budget200000-seed0": ("e5e94670e5a9cab1", "03f9fc13f6aa2c13"),
+    "thr2-n50-budget5000-seed0": ("2f047acb54cc9f49", "0cd4b6deb287a0df"),
+    "thr2-n50-budget5000-seed1": ("b5fe755c47f650e7", "845b870ef40fee67"),
+    "thr2-n50-budget5000-seed2": ("915d9b7864f7fdc7", "ffb228c5a1acec13"),
+    "thr2-n2000-budget20000-seed0": ("1e63828d63e29d74", "403827a6c269f6cb"),
+    "thr2-n2000-budget20000-seed1": ("2723e21802e4cdb7", "db3394cc3b8b02e4"),
+    "thr2-n2000-budget20000-seed2": ("bbbe525240b8cd92", "efb7558c0f5f9b78"),
+    "thr2-n100000-budget100000-seed0": ("6a896dab6566bf88", "32f5cce228be6f88"),
+    "thr2-n100000-budget100000-seed1": ("b62d5f0d333a3bb3", "cb793cd4651926e8"),
+    "thr2-n100000-budget100000-seed2": ("42d3324740341d8c", "94106104a66a35b4"),
+    "thr2-n1000000-budget200000-seed0": ("09ac9f63f36a7947", "5eebc2b7a892817d"),
+    "thr2-n1000000-budget200000-seed1": ("f58f08f216288198", "50a8d8579ecd61d5"),
+    "thr2-n1000000-budget200000-seed2": ("77d9a25f9e2a47c8", "aeb66f4b126ac6ea"),
+    "thr2-n100000000-budget200000-seed0": ("a36b945a45a1ccf5", "8696f4c58025edc1"),
+    "thr2-n100000000-budget200000-seed1": ("f337d1012976ce30", "2c785bf6c0c98adb"),
+    "thr2-n100000000-budget200000-seed2": ("f94ced6b17511511", "cb89ca0522eddfbb"),
+    "thr2-n8-budget200000-window20-seed0": ("eb1a5abd26106a86", "fa62e5117781ac8c"),
+    "thr2-n8-budget200000-window20-seed1": ("367824669cbd5e7e", "fda70e9ba59b7564"),
+    "thr2-n8-budget200000-window20-seed2": ("4c7d8419f5bd45b8", "73616e4c47bb9761"),
+    "thr2-n10-budget200000-window300-seed0": ("6242e0891c4f3be2", "77845bd3b573fd37"),
+    "thr2-n10-budget200000-window300-seed1": ("de43863b1cea8b13", "741961eab4de00d7"),
+    "thr2-n10-budget200000-window300-seed2": ("9cdb7f45f62814c1", "b1da61136e4a857d"),
+    "thr2-n13-budget200000-window300-seed0": ("a252c72c433d1783", "316f6b795b339ff6"),
+    "thr2-n13-budget200000-window300-seed1": ("61d9ee8cb773d5c3", "b913ca74e8a9d812"),
+    "thr2-n13-budget200000-window300-seed2": ("73290687d8385e49", "deab346743b8bbb0"),
+    "thr2-n100000-budget200000-faults-seed0": ("9a97fb25df3ee429", "3c8d717650cde67d"),
+    "thr2-n100000-budget200000-faults-seed1": ("cc38b382a1dd001b", "6ec27d50817239aa"),
+    "thr2-n100000-budget200000-faults-seed2": ("86b4313f64933d32", "03600c0f9ea25e2f"),
+    "thr2-n2000-budget20000-profiled-seed0": ("1e63828d63e29d74", "403827a6c269f6cb"),
+    "thr2-n2000-budget20000-profiled-seed1": ("2723e21802e4cdb7", "db3394cc3b8b02e4"),
+    "thr2-n50-budget20000-first-seed0": ("6cc16f50979762bd", "3ec11e92657408d0"),
+    "thr2-n50-budget20000-first-seed1": ("eef7cfc6107fd9c6", "c1cc00e30fd47ad6"),
+    "majority-n59000-budget200000-seed0": ("2e31649ca777fddb", "c50eec01da08980f"),
+    "majority-n59000-budget200000-seed1": ("f7b98c4077fe4c5e", "4e6be2afdd6aa49e"),
+    "majority-n59000-budget200000-seed2": ("34aaee586cfc113e", "305d2de6477a0a56"),
+    "lipton1-n1000-budget20000-seed0": ("d2c6e3326035b95f", "34d9a860de090c30"),
+    "lipton1-n1000000-budget200000-seed0": ("360c59c305e914d5", "03f9fc13f6aa2c13"),
 }
 
 
@@ -480,6 +488,180 @@ class TestRunPins:
             result.verdict,
             result.population,
         )
+
+
+# ----------------------------------------------------------------------
+# Populations at numpy's limit
+# ----------------------------------------------------------------------
+class TestNumpyPopulationLimit:
+    """numpy's hypergeometric samplers take no population of
+    ``NUMPY_POPULATION_LIMIT`` (10^9) agents or more: such a run samples
+    with the pure sampler from its start, or from the batch barrier where
+    joins carry it across the limit."""
+
+    def test_run_at_the_limit(self, thr2_pipeline):
+        pp = thr2_pipeline.protocol
+        (init,) = pp.input_states
+        result = simulate(
+            pp,
+            Multiset({init: NUMPY_POPULATION_LIMIT}),
+            seed=1,
+            max_interactions=10_000,
+            convergence_window=NO_CONVERGE,
+        )
+        assert result.interactions == 10_000
+        assert result.population == result.final.size == 10**9
+
+    def test_joins_cross_the_limit(self, thr2_pipeline):
+        pp = thr2_pipeline.protocol
+        (init,) = pp.input_states
+        result = simulate(
+            pp,
+            Multiset({init: NUMPY_POPULATION_LIMIT - 10}),
+            seed=1,
+            max_interactions=10_000,
+            convergence_window=NO_CONVERGE,
+            faults=FaultPlan([JoinAgents(1_000, agents=100, state=init)]),
+        )
+        assert result.interactions == 10_000
+        assert result.joined == 100
+        assert result.population == result.final.size == 10**9 + 90
+
+
+# ----------------------------------------------------------------------
+# The exact pairing law of one batch, per sampler
+# ----------------------------------------------------------------------
+def bounded_compositions(total, bounds):
+    """Every vector ``v`` with ``0 <= v[j] <= bounds[j]`` summing to
+    ``total``."""
+    if not bounds:
+        if total == 0:
+            yield ()
+        return
+    for head in range(min(total, bounds[0]) + 1):
+        for tail in bounded_compositions(total - head, bounds[1:]):
+            yield (head,) + tail
+
+
+def tables(rows, columns):
+    """Every non-negative integer matrix with the given row and column
+    sums."""
+    if not rows:
+        if not any(columns):
+            yield ()
+        return
+    for row in bounded_compositions(rows[0], columns):
+        rest = tuple(c - r for c, r in zip(columns, row))
+        for below in tables(rows[1:], rest):
+            yield (row,) + below
+
+
+def pairing_law(colors, length):
+    """Each outcome of one batch of ``length`` pairs over agents with
+    state counts ``colors`` (``m`` agents in all) — the pair table ``M``
+    as ``(initiator, responder, count)`` triples and the untouched counts
+    — with its exact probability, the product of
+
+    * ``P(I) = Π C(c_a, I_a) / C(m, l)`` for the initiator counts,
+    * ``P(R | I) = Π C(c_a - I_a, R_a) / C(m - l, l)`` for the responder
+      counts, and
+    * ``P(M | I, R) = Π I_a! · Π R_b! / (l! · Π M_ab!)``, the uniform
+      matching of the two sides."""
+    m = sum(colors)
+    law = {}
+    for inits in bounded_compositions(length, colors):
+        p_init = prod(map(comb, colors, inits)) / comb(m, length)
+        left = tuple(c - i for c, i in zip(colors, inits))
+        for resps in bounded_compositions(length, left):
+            p_resp = prod(map(comb, left, resps)) / comb(m - length, length)
+            fresh = tuple(c - r for c, r in zip(left, resps))
+            sides = prod(map(factorial, inits)) * prod(map(factorial, resps))
+            for table in tables(inits, resps):
+                cells = tuple(
+                    (a, b, x)
+                    for a, row in enumerate(table)
+                    for b, x in enumerate(row)
+                    if x
+                )
+                p_match = sides / (
+                    factorial(length) * prod(factorial(x) for _, _, x in cells)
+                )
+                law[cells, fresh] = p_init * p_resp * p_match
+    return law
+
+
+def chi2_critical_001(df):
+    """Upper 0.1% point of the chi-square law: the table for small
+    ``df``, the Wilson–Hilferty approximation above it."""
+    if df in CHI2_CRIT_001:
+        return CHI2_CRIT_001[df]
+    h = 2 / (9 * df)
+    return df * (1 - h + 3.090232 * sqrt(h)) ** 3
+
+
+def one_sample_chi2(counts, law, draws):
+    """``(statistic, df)`` of observed outcome counts against ``law``,
+    pooling the outcomes expected fewer than five times into one bin."""
+    stat = 0.0
+    bins = 0
+    pooled_obs = pooled_exp = 0.0
+    for outcome, p in law.items():
+        expected = p * draws
+        observed = counts.get(outcome, 0)
+        if expected < 5:
+            pooled_obs += observed
+            pooled_exp += expected
+            continue
+        stat += (observed - expected) ** 2 / expected
+        bins += 1
+    if pooled_exp:
+        stat += (pooled_obs - pooled_exp) ** 2 / pooled_exp
+        bins += 1
+    return stat, bins - 1
+
+
+#: ``(colors, length)`` per case: a three-state batch (42 outcomes),
+#: seven states two pairs deep, and a four-state batch long enough for
+#: every row of the rows path to take several draws.
+PAIRING_CASES = [((3, 2, 2), 3), ((2, 1, 3, 1, 1, 2, 1), 2), ((4, 3, 3, 2), 5)]
+
+#: The sampler class and method of each path that draws a batch.
+PAIRING_PATHS = {
+    "numpy-permutation": (_NumpySampler, "pairs_by_permutation"),
+    "numpy-rows": (_NumpySampler, "pairs_by_rows"),
+    "pure": (_PureSampler, "sample_pairs"),
+}
+
+
+class TestPairingLaw:
+    """Each sampler path draws one batch's pair table by the exact law of
+    the uniform pair scheduler: a one-sample chi-square at 0.1% over
+    every outcome, 20,000 seeded batches per case."""
+
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize("path", sorted(PAIRING_PATHS))
+    @pytest.mark.parametrize(
+        "colors, length", PAIRING_CASES, ids=lambda v: str(v).replace(" ", "")
+    )
+    def test_pair_table_follows_the_exact_law(self, path, colors, length):
+        cls, method = PAIRING_PATHS[path]
+        if cls is _NumpySampler and _numpy() is None:
+            pytest.skip("numpy not installed")
+        k = len(colors)
+        draw = getattr(cls(random.Random(2023), k, sum(colors)), method)
+        law = pairing_law(colors, length)
+        counts = {}
+        for _ in range(self.DRAWS):
+            # Local ids: with ``occ = 0..k-1`` and ``S = k`` a pair code
+            # ``a*k + b`` decodes to ``(a, b)``.
+            pairs, fresh = draw(list(range(k)), list(colors), length)
+            cells = tuple(sorted((c // k, c % k, x) for c, x in pairs))
+            outcome = (cells, tuple(fresh))
+            assert outcome in law, outcome
+            counts[outcome] = counts.get(outcome, 0) + 1
+        stat, df = one_sample_chi2(counts, law, self.DRAWS)
+        assert stat < chi2_critical_001(df), (stat, df)
 
 
 class TestSilenceCheck:
