@@ -16,7 +16,7 @@ throughput:
   ``n = 10^6``, and ``batched.crossover.smalln_ratio`` the same ratio at
   ``n = 10^3``, each from the best of three runs per side.  The gate
   asserts the claim ``engine="auto"`` relies on: batched wins at 10^6
-  and fast wins at 10^3, on either side of ``auto_crossover()``.  (A
+  and fast wins at 10^3, on either side of ``AUTO_CROSSOVER``.  (A
   fixed 50× bound at 10^6 stood here while the per-step engine repaired
   its index by walking every key of a changed state; its pair-map
   repair made that engine 30–40× faster, and the ratio now reads about

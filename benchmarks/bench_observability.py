@@ -1,10 +1,10 @@
-"""Benchmarks for the telemetry stack: span-tracing overhead, Prometheus
-rendering throughput, and worker span adoption.
+"""Benchmarks for the telemetry stack: span-tracing overhead and worker
+span adoption.
 
 Not a paper artefact — these gate the observability layer's promise that
 instrumentation is free when off and cheap when on.  Gauges land in the
-shared bench JSON (``span_tracer.*``, ``prometheus_render.*``,
-``span_adopt.*``) next to the simulator numbers."""
+shared bench JSON (``span_tracer.*``, ``span_adopt.*``) next to the
+simulator numbers."""
 
 import time
 
@@ -12,8 +12,6 @@ from conftest import record_benchmark
 
 from repro.baselines import binary_threshold_protocol
 from repro.core import Multiset, simulate
-from repro.observability.export import metrics_to_prometheus
-from repro.observability.metrics import Metrics
 from repro.observability.spans import SpanTracer, activate
 
 
@@ -53,26 +51,6 @@ def test_span_tracing_overhead(benchmark, bench_metrics):
     )
     record_benchmark(bench_metrics, "span_tracer", benchmark, units=interactions)
     assert interactions > 500
-
-
-def _populated_registry(families: int = 50) -> Metrics:
-    metrics = Metrics()
-    for i in range(families):
-        metrics.counter(f"transition[t{i}]").inc(i)
-        metrics.gauge(f"gauge{i}").set(i * 0.5)
-        hist = metrics.histogram(f"hist{i}.seconds")
-        for value in (0.001 * (i + 1), 0.1, 2.0):
-            hist.observe(value)
-    return metrics
-
-
-def test_prometheus_render_throughput(benchmark, bench_metrics):
-    metrics = _populated_registry()
-    text = benchmark(metrics_to_prometheus, metrics)
-    record_benchmark(
-        bench_metrics, "prometheus_render", benchmark, units=len(text.splitlines())
-    )
-    assert "repro_transition_total" in text
 
 
 def test_span_adoption_throughput(benchmark, bench_metrics):

@@ -95,8 +95,8 @@ def test_multi_run_throughput_jobs4(benchmark, bench_metrics):
         # A single-core box cannot measure pool scaling: four workers
         # time-slice one core and the ratio reads ≈ 1 regardless of how
         # well the pool works.  Record *why* the gauges are absent (the
-        # string gauge only ever lands in the bench JSON, which is not
-        # exported to Prometheus) rather than a vacuous speedup.
+        # string gauge only ever lands in the bench JSON) rather than a
+        # vacuous speedup.
         bench_metrics.gauge("multi_run.skipped_reason").set(
             f"speedup/scaling_efficiency skipped: cpu_count={cores} < 2"
         )

@@ -171,7 +171,7 @@ class DenseConfig(Multiset):
     """Array-backed configuration over a fixed state universe.
 
     Behaves exactly like :class:`Multiset` (same equality, iteration,
-    watchers, pickling) but additionally maintains ``cnt`` — a dense
+    pickling) but additionally maintains ``cnt`` — a dense
     integer vector indexed by ``sid[state]`` — so the batched engine can
     read counts and apply whole batches of deltas without hashing states.
     The universe is fixed at construction: mutating a state outside it is
@@ -214,8 +214,6 @@ class DenseConfig(Multiset):
     def apply_sid_deltas(self, deltas) -> None:
         """Apply ``(state_id, delta)`` pairs as one bulk update.
 
-        Each touched state's watchers fire once with its final count —
-        the contract bulk mutation adds over per-step ``inc`` calls.
         Raises (before mutating anything) if any count would go negative.
         """
         counts = self._counts
@@ -237,9 +235,6 @@ class DenseConfig(Multiset):
             else:
                 counts.pop(state, None)
             self._size += delta
-            if self._watchers:
-                for callback in self._watchers:
-                    callback(state, new)
 
     def apply_deltas(self, deltas: Dict[object, int]) -> None:
         """State-keyed convenience wrapper over :meth:`apply_sid_deltas`."""
@@ -259,7 +254,6 @@ class DenseConfig(Multiset):
         fresh.cnt = list(self.cnt)
         fresh._counts = dict(self._counts)
         fresh._size = self._size
-        fresh._watchers = None
         return fresh
 
     def __getstate__(self):
@@ -860,7 +854,8 @@ def run_batched_simulation(
                 end_step, kind="multinomial", count=nulls, transition=None
             )
 
-        # Ascending state ids: watchers fire in a fixed order.
+        # Ascending state ids: a state that turns positive enters the
+        # count map in a fixed order, so iteration order is deterministic.
         dense.apply_sid_deltas(sorted(delta_acc.items()))
         interactions = end_step
         productive += batch_productive

@@ -19,19 +19,17 @@ around that observation:
   list of occupied states.  A step's repair recomputes just the keys
   between the (≤ 4, usually fewer) states whose count changed and the
   occupied states, found through the pair map, so it costs O(|support|)
-  however many keys a state has.  The index can
-  :meth:`~EnabledIndex.attach` to a :class:`Multiset` and stay exact
-  through arbitrary ``inc``/``dec`` calls via the multiset's change
-  hooks.
+  however many keys a state has.  :meth:`~EnabledIndex.update` is the
+  one way its counts change.
 * :func:`run_fast_simulation` — the drop-in driver used by
   :func:`repro.core.simulate` for the fast schedulers.  It adds O(Δ)
   output tracking (an incrementally maintained count of agents in
   accepting states replaces ``protocol.output(current)`` per step),
   geometric null-step skip-ahead for the uniform model (null runs are
   sampled from the exact geometric distribution and jumped in one go,
-  preserving interaction counts and parallel time exactly), and a
-  run-collapsing batch mode that applies a transition ``k`` times at once
-  while it is provably the only enabled choice.  It is also the one
+  preserving interaction counts and parallel time exactly); every
+  enabled-mode interaction and every matched uniform step is one sampled
+  step.  It is also the one
   place protocol-level faults are injected: a faulted run executes the
   same loops between fault barriers, fires the due faults through an
   :class:`~repro.resilience.IndexView`, and resumes; only the short
@@ -543,7 +541,6 @@ class EnabledIndex:
         "occpos",
         "total",
         "churn",
-        "_watched",
     )
 
     def __init__(
@@ -568,7 +565,6 @@ class EnabledIndex:
         self.kpos = mt.kpos
         self.fill = mt.fill
         self.churn = 0
-        self._watched: Optional[Multiset] = None
         self.rebuild(config if config is not None else Multiset())
 
     @property
@@ -591,43 +587,23 @@ class EnabledIndex:
         sid = self.table.sid
         self.update(sorted((sid[state], count) for state, count in config.items()))
 
-    # -- multiset change hooks -----------------------------------------
-    def attach(self, config: Multiset) -> None:
-        """Keep the index exact through ``config.inc``/``dec`` calls."""
-        if self._watched is not None:
-            self.detach()
-        self.rebuild(config)
-        config.watch(self._on_change)
-        self._watched = config
-
-    def detach(self) -> None:
-        if self._watched is not None:
-            self._watched.unwatch(self._on_change)
-            self._watched = None
-
-    def _on_change(self, state, new_count: int) -> None:
-        s = self.table.sid.get(state)
-        if s is None:  # state foreign to the protocol: no keys touch it
-            return
-        self.update(((s, new_count - self.cnt[s]),))
-
     # -- incremental repair --------------------------------------------
-    def update(self, deltas, k: int = 1) -> None:
-        """Add ``k·d`` to the count of state ``s`` for each ``(s, d)`` in
-        ``deltas`` and repair the index (:meth:`_update`).  Batch apply,
-        fault repair, resizes, the watcher and :meth:`rebuild` all update
-        through here.
+    def update(self, deltas) -> None:
+        """Add ``d`` to the count of state ``s`` for each ``(s, d)`` in
+        ``deltas`` and repair the index (:meth:`_update`).  Fault repair,
+        fault-window steps, resizes and :meth:`rebuild` all update through
+        here.
 
         ``churn`` counts the active-set membership changes made here.  The
         single-step loops call :meth:`_update` directly and deliberately
         do *not* count, so the counter measures index turnover on the
         repair path, not per-interaction flips.
         """
-        dtotal, flipped = self._update(deltas, k)
+        dtotal, flipped = self._update(deltas)
         self.total += dtotal
         self.churn += flipped
 
-    def _update(self, deltas, k: int = 1) -> Tuple[int, int]:
+    def _update(self, deltas) -> Tuple[int, int]:
         """The one repair.  Add every count change, occupy every state
         whose count turned positive (the occupancy rule), then repair each
         changed state ``s`` in turn: recompute the keys between ``s`` and
@@ -644,7 +620,7 @@ class EnabledIndex:
         hot = self.hot
         n = self.n
         for s, d in deltas:
-            c = cnt[s] + d * k
+            c = cnt[s] + d
             cnt[s] = c
             if c > 0 and occpos[s] < 0:
                 occpos[s] = len(occ)
@@ -814,153 +790,6 @@ class EnabledIndex:
 
 
 # ----------------------------------------------------------------------
-# Batch-mode bound computation
-# ----------------------------------------------------------------------
-def _first_reach(c: int, d: int, lo: int) -> Optional[int]:
-    """Smallest ``j ≥ 0`` with ``c + j·d ≥ lo`` (``None`` if never)."""
-    if c >= lo:
-        return 0
-    if d <= 0:
-        return None
-    return (lo - c + d - 1) // d
-
-
-def _last_reach(c: int, d: int, lo: int) -> Optional[int]:
-    """Largest ``j`` with ``c + j·d ≥ lo`` (``None`` = forever), assuming
-    ``c ≥ lo`` holds at ``j = 0``; returns -1 if it fails immediately."""
-    if c < lo:
-        return -1
-    if d >= 0:
-        return None
-    return (c - lo) // (-d)
-
-
-def _first_positive_weight(a, b, cnt, delta_map) -> Optional[int]:
-    """The first ``j ≥ 0`` at which the pair weight of the key ``(a, b)``
-    is positive while counts evolve as ``cnt[s] + j·delta[s]`` (``None``
-    if never: some factor never reaches its threshold, or the factors'
-    positive windows do not overlap)."""
-    if a == b:
-        bounds = ((cnt[a], delta_map.get(a, 0), 2),)
-    else:
-        bounds = (
-            (cnt[a], delta_map.get(a, 0), 1),
-            (cnt[b], delta_map.get(b, 0), 1),
-        )
-    start = 0
-    end: Optional[int] = None
-    for c, d, lo in bounds:
-        first = _first_reach(c, d, lo)
-        if first is None:
-            return None
-        if first > start:
-            start = first
-        if d < 0:
-            last = (c - lo) // (-d) if c >= lo else -1
-            if end is None or last < end:
-                end = last
-    if end is not None and start > end:
-        return None
-    return start
-
-
-def _first_output_flip(accept: int, ad: int, m: int, category) -> Optional[int]:
-    """Smallest ``j ≥ 1`` at which the output category of ``accept +
-    j·ad`` differs from ``category`` (``None`` if it never does)."""
-    if ad == 0:
-        return None
-    if category is False:  # accept == 0 and ad > 0: leaves False at once
-        return 1
-    if category is True:  # accept == m and ad < 0: leaves True at once
-        return 1
-    if ad > 0:
-        gap = m - accept
-        return gap // ad if gap % ad == 0 else None
-    gap = accept
-    return gap // (-ad) if gap % (-ad) == 0 else None
-
-
-def _batch_length(
-    index: EnabledIndex,
-    i: int,
-    cand,
-    *,
-    budget,
-    window_left,
-    accept,
-    m,
-    category,
-    snapshot_gap,
-):
-    """How many times the sole enabled candidate may be applied at once.
-
-    While counts evolve linearly (``cnt[s] + j·d_s``), the batch must end
-    no later than: the sole key losing its weight, any other key gaining
-    weight (the choice would stop being deterministic), the interaction
-    budget, the convergence window completing, the output category
-    changing, or the next snapshot point.  All bounds are exact integer
-    solutions of the linear threshold inequalities, so the collapsed run
-    is step-for-step identical to executing the transition ``k`` times.
-    """
-    _q, _r, _q2, _r2, _ch, ad, deltas, _t = cand
-    cnt = index.cnt
-    keys = index.keys
-    k = budget
-    if window_left is not None and window_left < k:
-        k = window_left
-    if snapshot_gap is not None and snapshot_gap < k:
-        k = snapshot_gap
-    if k <= 1:
-        return k
-    delta_map = dict(deltas)
-
-    # The sole key must keep positive weight for steps j = 0..k-1.
-    a, b, off, _mult, _cands = keys[i]
-    if a == b:
-        last = _last_reach(cnt[a], delta_map.get(a, 0), 2)
-    else:
-        last = _last_reach(cnt[a], delta_map.get(a, 0), 1)
-        last_b = _last_reach(cnt[b], delta_map.get(b, 0), 1)
-        if last is None or (last_b is not None and last_b < last):
-            last = last_b
-    if last is not None and last + 1 < k:
-        k = last + 1
-    if k <= 1:
-        return k
-
-    # No other key may become enabled before the batch ends: the first j
-    # at which another key's weight turns positive caps k at that j.
-    # Only keys touching a state the batch changes can newly turn on, and
-    # only if their other state is occupied or changed by the batch too:
-    # an empty state the batch leaves alone stays empty.
-    w = index.w
-    pair = index.pair
-    kpos = index.kpos
-    n = index.n
-    partners = index.occ + [s for s in delta_map if not cnt[s]]
-    seen = set()
-    for s in delta_map:
-        row = s * n
-        for p in partners:
-            for i2 in (pair[row + p], pair[p * n + s]):
-                if i2 < 0 or i2 == i or w[i2] or i2 in seen:
-                    continue
-                seen.add(i2)
-                a2, b2 = divmod(kpos[i2], n)
-                first = _first_positive_weight(a2, b2, cnt, delta_map)
-                if first is not None and first < k:
-                    k = first
-    if k <= 1:
-        return k
-
-    # The output category may change only at the batch's final step.
-    flip = _first_output_flip(accept, ad, m, category)
-    if flip is not None and flip < k:
-        k = flip
-    return k
-
-
-# ----------------------------------------------------------------------
 # The fast simulation drivers
 # ----------------------------------------------------------------------
 #: Loop exit statuses: ``stop`` reached, provably silent, the output held
@@ -1060,10 +889,9 @@ def run_fast_simulation(
       and ``size_delta`` are folded into the run (which re-derives
       ``T = m(m−1)`` in uniform mode) and the output is recomputed;
     * between barriers the uninjected loops run unchanged, with
-      ``min(next_at, max_interactions)`` as their stop: a batch collapse
-      is cut there and resumed after the fire, and a geometric null run
-      is cut there and re-drawn after the fire (null runs are memoryless,
-      so the law is the same);
+      ``min(next_at, max_interactions)`` as their stop: a geometric null
+      run is cut there and re-drawn after the fire (null runs are
+      memoryless, so the law is the same);
     * the short per-step windows — an armed drop or duplicate token, an
       unfair or adversarial step — go one step at a time through
       :func:`_window_step`, shared by both modes;
@@ -1072,7 +900,10 @@ def run_fast_simulation(
       is final only once the plan is drained.
 
     Uninjected runs take the loops once, with ``max_interactions`` as the
-    stop, and stay bit-identical to earlier releases.
+    stop.  They draw once per sampled step, also where one candidate is
+    the only enabled choice for a stretch: such a stretch, which earlier
+    releases applied in one go without a draw, is drawn step by step, so
+    its law is unchanged but a seeded run through one samples differently.
     """
     uniform = isinstance(scheduler, FastUniformScheduler)
     index = EnabledIndex(protocol, current, mode="uniform" if uniform else "enabled")
@@ -1309,7 +1140,6 @@ def _enabled_loop(index: EnabledIndex, run: _Run, *, rng, stop, obs, deadline_at
     hot = index.hot
     hot1 = index.hot1
     keys = index.keys
-    update = index.update
     repair = index._update
     rnd = rng.random
     randrange = rng.randrange
@@ -1337,79 +1167,6 @@ def _enabled_loop(index: EnabledIndex, run: _Run, *, rng, stop, obs, deadline_at
         if total <= 0:
             status = _SILENT
             break
-
-        # ---- run-collapsing batch mode -------------------------------
-        if len(active) == 1:
-            i = active[0]
-            cands = keys[i][4]
-            if len(cands) == 1:
-                cand = cands[0]
-                ch = cand[4]
-                index.total = total
-                k = _batch_length(
-                    index,
-                    i,
-                    cand,
-                    budget=stop - interactions,
-                    window_left=(
-                        convergence_window - (productive - stable_since)
-                        if (out is not None and ch)
-                        else None
-                    ),
-                    accept=accept,
-                    m=m,
-                    category=out,
-                    snapshot_gap=(
-                        snapshot_every - interactions % snapshot_every
-                        if snapshot_every
-                        else None
-                    ),
-                )
-                if k > 1:
-                    ad = cand[5]
-                    interactions += k
-                    update(cand[6], k)
-                    total = index.total
-                    if ch:
-                        productive += k
-                    accept += ad * k
-                    if obs is not None:
-                        obs.on_batch(
-                            interactions,
-                            kind="collapse",
-                            count=k,
-                            transition=cand[7],
-                            productive=k if ch else 0,
-                        )
-                        if snapshot_every and interactions % snapshot_every == 0:
-                            obs.on_snapshot(
-                                interactions,
-                                _snapshot_dict(states, cnt),
-                                LAYER_PROTOCOL,
-                            )
-                    if ad:
-                        new_out = (
-                            True
-                            if accept == m
-                            else (False if accept == 0 else None)
-                        )
-                        if new_out != out:
-                            out = new_out
-                            stable_since = productive
-                            conv_at = (
-                                stable_since + convergence_window
-                                if out is not None
-                                else _NEVER
-                            )
-                            trace.append((interactions, out))
-                            if obs is not None:
-                                obs.on_output_flip(
-                                    interactions, out, LAYER_PROTOCOL
-                                )
-                    if productive >= conv_at:
-                        status = _CONVERGED
-                        break
-                    continue
 
         # ---- one sampled step ----------------------------------------
         interactions += 1

@@ -34,12 +34,11 @@ class Multiset:
     3
     """
 
-    __slots__ = ("_counts", "_size", "_watchers")
+    __slots__ = ("_counts", "_size")
 
     def __init__(self, counts: Mapping[State, int] | Iterable[State] | None = None):
         self._counts: Dict[State, int] = {}
         self._size: int = 0
-        self._watchers: list | None = None
         if counts is None:
             return
         if isinstance(counts, Mapping):
@@ -155,36 +154,10 @@ class Multiset:
         else:
             self._counts.pop(state, None)
         self._size += amount
-        if self._watchers:
-            for callback in self._watchers:
-                callback(state, new)
 
     def dec(self, state: State, amount: int = 1) -> None:
         """Remove ``amount`` from ``state``'s count, in place."""
         self.inc(state, -amount)
-
-    # ------------------------------------------------------------------
-    # Change hooks (used by repro.core.fastpath to maintain incremental
-    # indexes without rescanning the configuration)
-    # ------------------------------------------------------------------
-    def watch(self, callback) -> None:
-        """Register ``callback(state, new_count)`` to fire after every
-        :meth:`inc`/:meth:`dec`.  Watchers are intentionally excluded from
-        :meth:`copy` — a copy starts unobserved."""
-        if self._watchers is None:
-            self._watchers = []
-        self._watchers.append(callback)
-
-    def unwatch(self, callback) -> None:
-        """Remove a previously registered change callback (no-op if the
-        callback is not registered)."""
-        if self._watchers:
-            try:
-                self._watchers.remove(callback)
-            except ValueError:
-                return
-            if not self._watchers:
-                self._watchers = None
 
     def copy(self) -> "Multiset":
         fresh = Multiset()
@@ -196,16 +169,12 @@ class Multiset:
     # Pickling (used by repro.runtime to ship configurations to workers)
     # ------------------------------------------------------------------
     def __getstate__(self):
-        """Pickle only the counts.  Watchers are process-local callbacks
-        into live index structures (:class:`repro.core.fastpath.EnabledIndex`
-        change hooks); like :meth:`copy`, a transported multiset starts
-        unobserved and any index must re-:meth:`attach` on the other side."""
+        """Pickle only the counts; the size is re-derived on load."""
         return dict(self._counts)
 
     def __setstate__(self, counts) -> None:
         self._counts = dict(counts)
         self._size = sum(counts.values())
-        self._watchers = None
 
     # ------------------------------------------------------------------
     # Convenience constructors / display

@@ -107,7 +107,7 @@ def resolve_deadline(deadline: float | None) -> float | None:
 #: crossover and batched above it.
 _ENGINES = ("auto", "legacy", "fast", "batched")
 
-#: Default population-size crossover for ``engine="auto"``.  Same-n
+#: Population-size crossover for ``engine="auto"``.  Same-n
 #: throughput on Theorem 1's protocol at n=1, from the all-input
 #: configuration (min-of-3 on a 2-vCPU VM; 200k-interaction budgets, 4M
 #: for batched at n = 10⁶): the batched engine runs 0.29M/s against the
@@ -115,18 +115,7 @@ _ENGINES = ("auto", "legacy", "fast", "batched")
 #: 0.80M/s at n = 10⁴ (0.94×) and 6.9M/s against 0.34M/s at n = 10⁶
 #: (21×).  The engines cross near 10⁴ there; 50k keeps every
 #: interactive-scale run on the fastpath and every bulk run batched.
-AUTO_CROSSOVER_DEFAULT = 50_000
-
-
-def auto_crossover() -> int:
-    """The ``engine="auto"`` population crossover (``REPRO_AUTO_CROSSOVER``
-    overrides the default — unset/garbage/non-positive means default)."""
-    raw = os.environ.get("REPRO_AUTO_CROSSOVER", "").strip()
-    try:
-        value = int(raw) if raw else AUTO_CROSSOVER_DEFAULT
-    except ValueError:
-        return AUTO_CROSSOVER_DEFAULT
-    return value if value > 0 else AUTO_CROSSOVER_DEFAULT
+AUTO_CROSSOVER = 50_000
 
 
 def resolve_engine(engine: str | None) -> str | None:
@@ -155,7 +144,7 @@ def scheduler_for_engine(engine: str | None, population: int | None = None):
     """The default scheduler of an engine family.
 
     ``None``/``"auto"`` select by population size: the batched
-    multinomial engine at or above :func:`auto_crossover` agents, the
+    multinomial engine at or above :data:`AUTO_CROSSOVER` agents, the
     incremental fastpath below (and whenever the population is unknown).
     """
     if engine == "batched":
@@ -163,7 +152,7 @@ def scheduler_for_engine(engine: str | None, population: int | None = None):
     if engine == "legacy":
         return EnabledTransitionScheduler()
     if engine in (None, "auto") and population is not None:
-        if population >= auto_crossover():
+        if population >= AUTO_CROSSOVER:
             return BatchedScheduler()
     return FastEnabledScheduler()
 
@@ -178,7 +167,7 @@ def engine_label(
     if scheduler is None:
         resolved = resolve_engine(engine)
         if resolved in (None, "auto"):
-            if population is not None and population >= auto_crossover():
+            if population is not None and population >= AUTO_CROSSOVER:
                 return "batched"
             return "fast"
         return resolved
@@ -257,7 +246,7 @@ def simulate(
     ``"batched"`` (the bulk multinomial engine of
     :mod:`repro.core.batched`, for very large populations) or ``"auto"``
     — the default — which picks fast below the
-    :func:`auto_crossover` population size and batched at or above it.
+    :data:`AUTO_CROSSOVER` population size and batched at or above it.
     ``None`` defers to ``REPRO_ENGINE``, then behaves like ``"auto"``;
     an explicit ``scheduler`` always wins.
     Pass ``scheduler=EnabledTransitionScheduler()`` (or

@@ -20,8 +20,8 @@ The instrumentation layer for the whole simulator stack:
   (contextvar) tracer every layer can reach without plumbing;
 * :mod:`~repro.observability.profile` — :class:`ProfilingObserver`,
   engine-level ``sim.*`` throughput/churn metrics;
-* :mod:`~repro.observability.export` — Prometheus text exposition and
-  per-run provenance manifests (:class:`RunManifest`);
+* :mod:`~repro.observability.export` — per-run provenance manifests
+  (:class:`RunManifest`);
 * :mod:`~repro.observability.runners` — observed reference workloads
   behind ``python -m repro trace`` / ``python -m repro stats``
   (imported lazily: ``from repro.observability import runners``).
@@ -43,7 +43,6 @@ from repro.observability.export import (
     RunManifest,
     build_manifest,
     fault_plan_digest,
-    metrics_to_prometheus,
 )
 from repro.observability.metrics import (
     Counter,
@@ -80,7 +79,6 @@ __all__ = [
     "RunManifest",
     "build_manifest",
     "fault_plan_digest",
-    "metrics_to_prometheus",
     "Counter",
     "Gauge",
     "Histogram",

@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterable, Optional
 RUN_START = "run_start"  # a driver began sampling a run
 RUN_END = "run_end"  # the driver stopped (with its summary statistics)
 INTERACTION = "interaction"  # one protocol-level scheduler step
-BATCH = "batch"  # many collapsed scheduler steps reported at once
+BATCH = "batch"  # many scheduler steps reported at once
 SCHEDULER = "scheduler"  # scheduler-internal detail (candidate sets)
 STATEMENT = "statement"  # program-level primitive statement dispatch
 INSTRUCTION = "instruction"  # machine-level instruction dispatch

@@ -1,153 +1,20 @@
-"""Export formats: Prometheus text exposition and provenance manifests.
+"""Export format: provenance manifests.
 
-Two machine-facing serialisations of a run's telemetry:
-
-* :func:`metrics_to_prometheus` renders a
-  :class:`~repro.observability.metrics.Metrics` registry in the
-  Prometheus text exposition format (version 0.0.4), the format any
-  Prometheus-compatible scraper reads.  The output is deterministic
-  (families and labels sorted, no timestamps) so it can be pinned by a
-  golden-file test;
-* :class:`RunManifest` / :func:`build_manifest` produce the per-run
-  **provenance manifest**: everything needed to attribute, reproduce and
-  audit a run — content fingerprints of the protocol/program (from
-  :mod:`repro.runtime.cache`), the root seed, the fault-plan digest, the
-  scheduler and job count, cache hit/miss counts, and the package
-  version.  ``repro trace`` writes one next to every trace.
+:class:`RunManifest` / :func:`build_manifest` produce the per-run
+**provenance manifest**: everything needed to attribute, reproduce and
+audit a run — content fingerprints of the protocol/program (from
+:mod:`repro.runtime.cache`), the root seed, the fault-plan digest, the
+scheduler and job count, cache hit/miss counts, and the package
+version.  ``repro trace`` writes one next to every trace.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.observability.metrics import Metrics, bucket_bound
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-#: ``name[key]`` instrument names become a ``name`` family with a
-#: ``key="..."`` label — e.g. ``transition[a,b->c,d]`` →
-#: ``repro_transition_total{key="a,b->c,d"}``.
-_BRACKETED = re.compile(r"^(?P<family>[^\[\]]+)\[(?P<label>.*)\]$")
-_INVALID_METRIC_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _family_and_label(name: str) -> Tuple[str, Optional[str]]:
-    match = _BRACKETED.match(name)
-    if match:
-        return match.group("family"), match.group("label")
-    return name, None
-
-
-def _metric_name(namespace: str, family: str, suffix: str = "") -> str:
-    raw = f"{namespace}_{family}{suffix}" if namespace else f"{family}{suffix}"
-    sanitized = _INVALID_METRIC_CHARS.sub("_", raw)
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized
-
-
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _fmt_labels(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{key}="{_escape_label(value)}"' for key, value in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-def _fmt_value(value: Any) -> str:
-    if value is None:
-        return "NaN"
-    if value != value:  # NaN
-        return "NaN"
-    if value in (float("inf"), float("-inf")):
-        return "+Inf" if value > 0 else "-Inf"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
-def metrics_to_prometheus(metrics: Metrics, *, namespace: str = "repro") -> str:
-    """Render ``metrics`` in the Prometheus text exposition format.
-
-    Counters get a ``_total`` suffix; histograms expose cumulative
-    ``_bucket{le="..."}`` series derived from the power-of-two buckets
-    plus ``_count``/``_sum`` (and ``_min``/``_max`` gauges, which the
-    native format lacks but the summaries track exactly).  Instrument
-    names of the form ``family[key]`` fold into one family with a
-    ``key`` label.  Output is fully sorted and timestamp-free, so equal
-    registries render byte-identically.
-    """
-    lines: List[str] = []
-
-    # Counters — grouped into families so bracketed variants share a HELP.
-    families: Dict[str, List[Tuple[Optional[str], int]]] = {}
-    for name, counter in metrics.counters.items():
-        family, label = _family_and_label(name)
-        families.setdefault(family, []).append((label, counter.value))
-    for family in sorted(families):
-        metric = _metric_name(namespace, family, "_total")
-        lines.append(f"# TYPE {metric} counter")
-        for label, value in sorted(
-            families[family], key=lambda pair: (pair[0] is not None, pair[0] or "")
-        ):
-            labels = {"key": label} if label is not None else {}
-            lines.append(f"{metric}{_fmt_labels(labels)} {_fmt_value(value)}")
-
-    # Gauges.
-    gauge_families: Dict[str, List[Tuple[Optional[str], Any]]] = {}
-    for name, gauge in metrics.gauges.items():
-        family, label = _family_and_label(name)
-        gauge_families.setdefault(family, []).append((label, gauge.value))
-    for family in sorted(gauge_families):
-        metric = _metric_name(namespace, family)
-        lines.append(f"# TYPE {metric} gauge")
-        for label, value in sorted(
-            gauge_families[family],
-            key=lambda pair: (pair[0] is not None, pair[0] or ""),
-        ):
-            labels = {"key": label} if label is not None else {}
-            lines.append(f"{metric}{_fmt_labels(labels)} {_fmt_value(value)}")
-
-    # Histograms.
-    for name in sorted(metrics.histograms):
-        histogram = metrics.histograms[name]
-        family, label = _family_and_label(name)
-        metric = _metric_name(namespace, family)
-        base_labels = {"key": label} if label is not None else {}
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for key in sorted(histogram.buckets):
-            cumulative += histogram.buckets[key]
-            le = bucket_bound(key)
-            labels = dict(base_labels, le=_fmt_value(le))
-            lines.append(f"{metric}_bucket{_fmt_labels(labels)} {cumulative}")
-        labels = dict(base_labels, le="+Inf")
-        lines.append(f"{metric}_bucket{_fmt_labels(labels)} {histogram.count}")
-        lines.append(
-            f"{metric}_sum{_fmt_labels(base_labels)} {_fmt_value(histogram.total)}"
-        )
-        lines.append(f"{metric}_count{_fmt_labels(base_labels)} {histogram.count}")
-        for stat in ("min", "max"):
-            value = getattr(histogram, stat)
-            if value is not None:
-                lines.append(
-                    f"{metric}_{stat}{_fmt_labels(base_labels)} {_fmt_value(value)}"
-                )
-
-    return "\n".join(lines) + ("\n" if lines else "")
+from typing import Any, Dict, Optional
 
 
 # ----------------------------------------------------------------------

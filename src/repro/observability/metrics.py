@@ -62,15 +62,6 @@ def bucket_key(value: float) -> int:
     return math.frexp(value)[1]
 
 
-def bucket_bound(key: int) -> float:
-    """The inclusive upper bound of bucket ``key`` (``2**key``)."""
-    if key <= _NONPOS_BUCKET:
-        return 0.0
-    if key >= 1025:
-        return math.inf
-    return math.ldexp(1.0, key)
-
-
 @dataclass
 class Histogram:
     """Streaming summary statistics of a series, plus power-of-two buckets.
@@ -78,7 +69,7 @@ class Histogram:
     ``count``/``total``/``min``/``max``/``mean`` are exact; ``buckets``
     maps binary-exponent keys (see :func:`bucket_key`) to observation
     counts, giving an order-of-magnitude distribution that merges
-    losslessly across processes and exports as Prometheus ``le`` buckets.
+    losslessly across processes.
     """
 
     name: str
@@ -193,13 +184,6 @@ class Metrics:
                 name: h.to_dict() for name, h in sorted(self.histograms.items())
             },
         }
-
-    def to_prometheus(self, *, namespace: str = "repro") -> str:
-        """The registry in Prometheus text exposition format (see
-        :func:`repro.observability.export.metrics_to_prometheus`)."""
-        from repro.observability.export import metrics_to_prometheus
-
-        return metrics_to_prometheus(self, namespace=namespace)
 
     def write_json(self, path, extra: Optional[Dict[str, Any]] = None) -> Path:
         path = Path(path)

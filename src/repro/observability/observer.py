@@ -71,15 +71,14 @@ class Observer:
         transition: Any = None,
         productive: int = 0,
     ) -> None:
-        """``count`` scheduler steps collapsed into one event, ending at
-        interaction index ``step``.  ``kind`` is ``"null_skip"`` (uniform
-        fast path: a geometric run of null steps), ``"collapse"`` (the
-        sole enabled transition applied ``count`` times), ``"multinomial"``
-        (batched engine: one transition's chunk of a sampled batch, or —
-        with ``transition=None`` — the batch's null interactions) or
-        ``"collision"`` (the single agent-reusing interaction closing a
-        batch); ``productive`` is how many of the collapsed steps changed
-        the configuration."""
+        """``count`` scheduler steps reported as one event, ending at
+        interaction index ``step``.  ``kind`` is ``"null_skip"`` (fast
+        path: a geometric run of null steps, or a silent run's jump to its
+        next fault), ``"multinomial"`` (batched engine: one transition's
+        chunk of a sampled batch, or — with ``transition=None`` — the
+        batch's null interactions) or ``"collision"`` (the single
+        agent-reusing interaction closing a batch); ``productive`` is how
+        many of the reported steps changed the configuration."""
         self.record(
             ev.BATCH,
             step,

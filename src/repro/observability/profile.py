@@ -1,19 +1,21 @@
 """Profiling hooks: cheap engine-level counters behind the observer seam.
 
 :class:`ProfilingObserver` turns the event stream the fastpath engine
-(:mod:`repro.core.fastpath`) already emits — batch events for collapsed
-null/productive steps, run summaries enriched with index statistics —
-into ``sim.*`` counters and histograms:
+(:mod:`repro.core.fastpath`) already emits — batch events for steps
+reported in bulk, run summaries enriched with index statistics — into
+``sim.*`` counters and histograms:
 
 * ``sim.null_skipped`` — null steps skipped wholesale by the geometric
   skip-ahead (never individually simulated);
 * ``sim.collapsed`` / ``sim.batches`` and the ``sim.batch_size``
-  histogram — batch-collapse effectiveness;
+  histogram — the steps reported through batch events (null skips,
+  batched chunks and collisions) and how many each event carried;
 * ``sim.steps_per_second`` histogram — per-run interaction throughput,
   wall-clocked from ``run_start`` to ``run_end``;
 * ``sim.enabled_keys`` / ``sim.index_churn`` histograms — the enabled
   set's final size and how often the :class:`EnabledIndex` membership
-  changed through its repair path (batch apply / fault repair);
+  changed through :meth:`~EnabledIndex.update` (the initial build,
+  fault repair and fault-window steps);
 * ``churn.*`` — dynamic-population accounting (joins/leaves fired,
   agents added/removed, final population per churned run) fed by the
   churn fault kinds of :mod:`repro.resilience.churn`.

@@ -298,10 +298,9 @@ class DenseView:
     """Corruption view over the batched engine's ``DenseConfig``.
 
     The batched engine only fires faults at batch barriers, so the view
-    mutates the dense count array directly (firing the multiset change
-    hooks via ``inc``/``dec`` keeps any attached accepting-count watcher
-    exact) and accumulates ``accept_delta``/``size_delta`` for the
-    driver's between-batch bookkeeping.
+    mutates the dense configuration directly through ``inc``/``dec`` and
+    accumulates ``accept_delta``/``size_delta`` for the driver's
+    between-batch bookkeeping.
     """
 
     __slots__ = ("states", "_dense", "_accepting", "accept_delta", "size_delta")

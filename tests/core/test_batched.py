@@ -27,6 +27,7 @@ from repro.core import (
     resolve_engine,
     scheduler_for_engine,
     simulate,
+    simulation,
 )
 from repro.core.batched import (
     NUMPY_POPULATION_LIMIT,
@@ -36,10 +37,9 @@ from repro.core.batched import (
 )
 from repro.core.semantics import is_silent
 from repro.core.simulation import (
-    AUTO_CROSSOVER_DEFAULT,
+    AUTO_CROSSOVER,
     EnabledTransitionScheduler,
     FastEnabledScheduler,
-    auto_crossover,
 )
 from repro.observability import (
     CompositeObserver,
@@ -154,13 +154,6 @@ class TestDenseConfig:
         assert clone.to_dict() == dense.to_dict()
         assert clone.size == dense.size
 
-    def test_watchers_fire_once_per_changed_state(self):
-        dense = DenseConfig(["a", "b", "c"], {"a": 5, "b": 5})
-        seen = []
-        dense.watch(lambda state, new: seen.append((state, new)))
-        dense.apply_sid_deltas([(0, -2), (1, 3), (2, 0)])
-        assert sorted(seen) == [("a", 3), ("b", 8)]
-
 
 # ----------------------------------------------------------------------
 # Engine selection plumbing
@@ -197,10 +190,8 @@ class TestEngineResolution:
     def test_auto_crossover_both_sides(self, monkeypatch):
         # The auto default: fastpath below the crossover, batched at and
         # above it — pinned on both sides for "auto", None, and label.
-        monkeypatch.delenv("REPRO_AUTO_CROSSOVER", raising=False)
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert auto_crossover() == AUTO_CROSSOVER_DEFAULT
-        below, at = AUTO_CROSSOVER_DEFAULT - 1, AUTO_CROSSOVER_DEFAULT
+        below, at = AUTO_CROSSOVER - 1, AUTO_CROSSOVER
         for engine in ("auto", None):
             assert isinstance(
                 scheduler_for_engine(engine, below), FastEnabledScheduler
@@ -214,16 +205,6 @@ class TestEngineResolution:
         assert isinstance(scheduler_for_engine("fast", at), FastEnabledScheduler)
         assert isinstance(scheduler_for_engine("batched", below), BatchedScheduler)
 
-    def test_auto_crossover_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTO_CROSSOVER", "10")
-        assert auto_crossover() == 10
-        assert isinstance(scheduler_for_engine("auto", 9), FastEnabledScheduler)
-        assert isinstance(scheduler_for_engine("auto", 10), BatchedScheduler)
-        monkeypatch.setenv("REPRO_AUTO_CROSSOVER", "garbage")
-        assert auto_crossover() == AUTO_CROSSOVER_DEFAULT
-        monkeypatch.setenv("REPRO_AUTO_CROSSOVER", "-5")
-        assert auto_crossover() == AUTO_CROSSOVER_DEFAULT
-
     def test_auto_routes_simulate_by_population(self, monkeypatch):
         # A small population under engine="auto" runs the fastpath; the
         # same protocol above a lowered crossover runs batched.
@@ -234,7 +215,7 @@ class TestEngineResolution:
         assert result.verdict is True
         # Per-step engines don't tag RUN_END; only the batched engine does.
         assert recorder.events[-1].data.get("engine") != "batched"
-        monkeypatch.setenv("REPRO_AUTO_CROSSOVER", str(config.size))
+        monkeypatch.setattr(simulation, "AUTO_CROSSOVER", config.size)
         recorder2 = TraceRecorder(kinds={ev.RUN_END})
         result2 = simulate(pp, config, seed=3, engine="auto", observer=recorder2)
         assert result2.verdict is True

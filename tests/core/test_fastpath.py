@@ -41,7 +41,7 @@ def two_sample_chi2(a, b):
 
 def cascade_protocol(n=50):
     """One deterministic key: (a, b -> b, b) converts the a-population one
-    agent at a time — the batch collapser's ideal case."""
+    agent at a time, the sole enabled candidate at every step."""
     pp = PopulationProtocol(
         states=["a", "b"],
         transitions=[("a", "b", "b", "b")],
@@ -58,42 +58,23 @@ def cascade_protocol(n=50):
 class TestEnabledIndex:
     @pytest.mark.parametrize("mode", ["enabled", "uniform"])
     def test_invariant_after_random_watched_mutations(self, mode):
+        # A mirror multiset takes each ±1 change, and the index takes the
+        # same change through update.
         pp = binary_threshold_protocol(6)
         cfg = Multiset({"p0": 11})
-        index = EnabledIndex(pp, mode=mode)
-        index.attach(cfg)
+        index = EnabledIndex(pp, cfg, mode=mode)
         index.validate(cfg)
         rng = random.Random(42)
+        sid = index.table.sid
         states = sorted(pp.states, key=repr)
         for step in range(2_000):
             s = rng.choice(states)
-            if rng.random() < 0.5 and cfg[s] > 0:
-                cfg.dec(s)
-            else:
-                cfg.inc(s)
+            d = -1 if rng.random() < 0.5 and cfg[s] > 0 else 1
+            cfg.inc(s, d)
+            index.update(((sid[s], d),))
             if step % 100 == 0:
                 index.validate(cfg)
         index.validate(cfg)
-        index.detach()
-
-    def test_foreign_states_are_ignored(self):
-        pp = majority_protocol()
-        cfg = Multiset({"X": 3, "Y": 2})
-        index = EnabledIndex(pp, mode="enabled")
-        index.attach(cfg)
-        cfg.inc("not-a-protocol-state", 7)
-        index.validate(Multiset({"X": 3, "Y": 2}))
-        index.detach()
-
-    def test_detach_stops_updates(self):
-        pp = majority_protocol()
-        cfg = Multiset({"X": 3, "Y": 2})
-        index = EnabledIndex(pp, cfg, mode="enabled")
-        index.attach(cfg)
-        index.detach()
-        before = index.total
-        cfg.inc("X", 10)
-        assert index.total == before  # stale by design after detach
 
     def test_weights_match_pair_counts(self):
         pp = majority_protocol()
@@ -185,8 +166,7 @@ class TestOccupancyRepair:
         states = sorted(pp.states, key=repr)
         rng = random.Random(5)
         cfg = Multiset({s: rng.randint(1, 3) for s in rng.sample(states, 6)})
-        index = EnabledIndex(pp, mode=mode)
-        index.attach(cfg)
+        index = EnabledIndex(pp, cfg, mode=mode)
         ref = StaticWalkIndex(index, index.cnt)
         assert index.active == ref.active
         view = IndexView(index)
@@ -214,13 +194,18 @@ class TestOccupancyRepair:
                 index.shrink(s, k)
                 ref.update(((s, -k),))
             else:
+                # Set the state's count to the mirror's after a ±1 change
+                # there: a jump of any size, as the moves above never
+                # reach the mirror.
                 state = rng.choice(states)
                 if rng.random() < 0.5 and cfg[state] > 0:
                     cfg.dec(state)
                 else:
                     cfg.inc(state)
                 s = sid[state]
-                ref.update(((s, cfg[state] - ref.cnt[s]),))
+                d = cfg[state] - index.cnt[s]
+                index.update(((s, d),))
+                ref.update(((s, d),))
             if not index.occ:
                 index.grow(0)
                 ref.update(((0, 1),))
@@ -231,7 +216,6 @@ class TestOccupancyRepair:
             if step % 50 == 0:
                 index.validate(_materialise(index))
         index.validate(_materialise(index))
-        index.detach()
         assert swaps >= steps // 10
 
     def test_pair_map_agrees_with_keys(self, thr2_pipeline):
@@ -306,7 +290,8 @@ class TestLegacyGoldenSeeds:
 # (scheduler, protocol, initial configuration, seed, verdict, silent,
 # interactions, productive, final) for uninjected fast runs
 # (max_interactions=20_000, convergence_window=300).  binary5 on 24 agents
-# with seed 0 under fast_enabled batch-collapses its last conversions;
+# with seed 0 under fast_enabled ends in a stretch where one candidate is
+# the only enabled choice, and nothing is drawn after it;
 # binary5 on 4 agents under fast_enabled and binary5 on 24 agents under
 # the first-candidate tie-break end by the convergence window; the
 # majority runs end silent at a check point.  The fast engines run in
@@ -412,13 +397,13 @@ THR2_TABLE_DIGEST = "6abdc23e913aa7b77d007d0fa7318c37"
 # key and candidate.
 THR2_PINS = [
     (
-        "fast_enabled", 1, True, False, 604, 604,
+        "fast_enabled", 1, True, False, 549, 549,
         {
-            "('x', T)": 4, "(CF^False_none, T)": 1, "(IP^33_none, T)": 1,
-            "(OF^True_none, T)": 1, "(P[Clean]^15_none, T)": 1,
-            "(P[Main]^3_none, T)": 1, "(P[Test(2)]^7_none, T)": 1,
-            "(V[#]^'x'_none, T)": 1, "(V[x]^'x'_none, T)": 1,
-            "(V[y]^'y'_none, T)": 1,
+            "('x', T)": 3, "('y', T)": 1, "(CF^True_none, T)": 1,
+            "(IP^34_none, T)": 1, "(OF^True_none, T)": 1,
+            "(P[Clean]^15_none, T)": 1, "(P[Main]^3_none, T)": 1,
+            "(P[Test(2)]^7_none, T)": 1, "(V[#]^'x'_none, T)": 1,
+            "(V[x]^'x'_none, T)": 1, "(V[y]^'y'_none, T)": 1,
         },
     ),
     (
@@ -571,25 +556,42 @@ class TestDistributionalEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Batch collapsing: exact, fully accounted, observer-transparent
+# A sole enabled candidate: one sampled step per interaction
 # ----------------------------------------------------------------------
-class TestBatchCollapsing:
-    def test_deterministic_cascade_is_collapsed_exactly(self):
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``random()`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+class TestSoleCandidateRuns:
+    def test_cascade_is_one_sampled_step_per_interaction(self):
         pp, config = cascade_protocol(50)
         recorder = TraceRecorder()
         result = simulate(pp, config, seed=0, observer=recorder)
         assert result.verdict is True and result.silent
-        assert result.productive == 50
+        assert result.productive == 50 and result.interactions == 51
         assert result.final == Multiset({"b": 51})
-        batches = recorder.events_of(ev.BATCH)
-        assert batches and all(e.data["batch"] == "collapse" for e in batches)
-        # Complete accounting: every interaction is either a per-step
-        # INTERACTION event or inside a BATCH count.
-        counts = recorder.kind_counts()
-        batched = sum(e.data["count"] for e in batches)
-        assert counts.get(ev.INTERACTION, 0) + batched == result.interactions
+        assert recorder.events_of(ev.BATCH) == []
+        steps = recorder.events_of(ev.INTERACTION)
+        assert sum(e.data["productive"] for e in steps) == 50
+        assert len(steps) == result.interactions
+        assert result.output_trace[-1] == (50, True)
 
-    def test_snapshot_boundaries_split_batches(self):
+    def test_each_sampled_step_draws_once(self):
+        pp, config = cascade_protocol(50)
+        rng = CountingRandom(0)
+        result = simulate(pp, config, rng=rng)
+        assert result.productive == 50
+        assert rng.draws == 50
+
+    def test_snapshots_fall_on_their_interval(self):
         pp, config = cascade_protocol(50)
         recorder = TraceRecorder(snapshot_every=16)
         result = simulate(pp, config, seed=0, observer=recorder)
@@ -603,8 +605,8 @@ class TestBatchCollapsing:
         assert counts.get(ev.INTERACTION, 0) + batched == result.interactions
 
     def test_observation_does_not_change_the_run(self):
-        # Batch splitting at snapshot boundaries consumes no randomness,
-        # so an observed fast run is bit-identical to an unobserved one.
+        # Observation consumes no randomness, so an observed fast run is
+        # bit-identical to an unobserved one.
         pp, config = cascade_protocol(50)
         bare = simulate(pp, config, seed=3)
         observed = simulate(pp, config, seed=3, observer=TraceRecorder(snapshot_every=8))
@@ -616,11 +618,11 @@ class TestBatchCollapsing:
         )
         assert bare.final == observed.final
 
-    def test_output_flip_interactions_are_exact_in_batches(self):
+    def test_output_flips_at_the_last_conversion(self):
         pp, config = cascade_protocol(50)
         result = simulate(pp, config, seed=0)
         # The output flips to True exactly when the last 'a' converts —
-        # productive step 50 — even though the run was collapsed.
+        # productive step 50.
         assert result.output_trace[0] == (0, None)
         flip_step, flip_out = result.output_trace[-1]
         assert flip_out is True and flip_step == 50

@@ -120,25 +120,6 @@ class TestMutation:
         c = Multiset({"a": 2, "b": 1})
         assert dict(c.freeze()) == {"a": 2, "b": 1}
 
-    def test_watchers_see_every_count_change(self):
-        c = Multiset({"a": 1})
-        seen = []
-        c.watch(lambda state, new: seen.append((state, new)))
-        c.inc("a")
-        c.inc("b", 3)
-        c.dec("a", 2)
-        assert seen == [("a", 2), ("b", 3), ("a", 0)]
-        c.unwatch(next(iter(c._watchers)))
-        assert not c._watchers
-
-    def test_copy_drops_watchers(self):
-        c = Multiset({"a": 1})
-        seen = []
-        c.watch(lambda state, new: seen.append((state, new)))
-        d = c.copy()
-        d.inc("a")
-        assert seen == []
-
 
 @given(counts_strategy, counts_strategy)
 def test_addition_commutes(x, y):

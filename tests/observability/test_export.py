@@ -1,60 +1,14 @@
-"""Prometheus text exposition and run provenance manifests."""
+"""Run provenance manifests."""
 
 import json
-from pathlib import Path
 
 from repro.baselines import binary_threshold_protocol
 from repro.observability.export import (
     RunManifest,
     build_manifest,
     fault_plan_digest,
-    metrics_to_prometheus,
 )
-from repro.observability.metrics import Metrics
 from repro.resilience.faults import CorruptAgents, FaultPlan
-
-GOLDEN = Path(__file__).parent / "data" / "golden_metrics.prom"
-
-
-def _golden_registry() -> Metrics:
-    """A registry exercising every exposition shape: plain and bracketed
-    counters, gauges, and a histogram with nontrivial buckets."""
-    metrics = Metrics()
-    metrics.counter("interactions").inc(828)
-    metrics.counter("transition[a,b->b,b]").inc(3)
-    metrics.counter("transition[x\\y]").inc(1)
-    metrics.gauge("cache.hits").set(4)
-    metrics.gauge("pool.jobs").set(2)
-    hist = metrics.histogram("attempt.seconds")
-    for value in (0.25, 0.5, 0.5, 3.0, 0.0):
-        hist.observe(value)
-    return metrics
-
-
-class TestPrometheus:
-    def test_matches_golden_file(self):
-        text = metrics_to_prometheus(_golden_registry())
-        assert text == GOLDEN.read_text(encoding="utf-8")
-
-    def test_counters_get_total_suffix_and_labels(self):
-        text = metrics_to_prometheus(_golden_registry())
-        assert "repro_interactions_total 828" in text
-        assert 'repro_transition_total{key="a,b->b,b"} 3' in text
-
-    def test_histogram_buckets_are_cumulative(self):
-        text = metrics_to_prometheus(_golden_registry())
-        lines = [l for l in text.splitlines() if "attempt_seconds_bucket" in l]
-        counts = [int(l.rsplit(" ", 1)[1]) for l in lines]
-        assert counts == sorted(counts)  # cumulative, monotone
-        assert lines[-1].startswith('repro_attempt_seconds_bucket{le="+Inf"} 5')
-        assert "repro_attempt_seconds_count 5" in text
-
-    def test_empty_registry_renders_empty(self):
-        assert metrics_to_prometheus(Metrics()) == ""
-
-    def test_metrics_method_delegates(self):
-        metrics = _golden_registry()
-        assert metrics.to_prometheus() == metrics_to_prometheus(metrics)
 
 
 class TestManifest:

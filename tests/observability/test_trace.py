@@ -86,9 +86,9 @@ class TestTheorem3Trace:
 
 class TestProtocolTrace:
     def test_interaction_and_silence_events(self):
-        # The default (fast) scheduler may collapse runs of steps into
-        # BATCH events, so the interaction accounting is: one INTERACTION
-        # event per sampled step plus the collapsed counts of every BATCH.
+        # The interaction accounting every engine keeps: one INTERACTION
+        # event per sampled step plus the counts of every BATCH (the
+        # default fast enabled engine emits none on an unfaulted run).
         recorder = TraceRecorder(snapshot_every=50)
         result = simulate(
             binary_threshold_protocol(5),

@@ -168,7 +168,7 @@ def dense_plan(budget, state, seed):
 # feed every later sample, so these values pin them.
 FAULTED_THR2_PINS = [
     (
-        "fast_enabled", 0, None, False, 4_000, 3_723, 53, 35, 22,
+        "fast_enabled", 0, None, False, 4_000, 3_722, 53, 35, 22,
         {
             "('x', F)": 28, "('y', F)": 15, "(CF^False_none, F)": 1,
             "(IP^1_none, F)": 1, "(IP^6_none, F)": 1, "(OF^False_none, F)": 1,
@@ -178,13 +178,13 @@ FAULTED_THR2_PINS = [
         },
     ),
     (
-        "fast_enabled", 1, None, False, 4_000, 3_661, 41, 29, 28,
+        "fast_enabled", 1, None, False, 4_000, 3_600, 41, 29, 28,
         {
-            "('x', T)": 19, "('y', T)": 13, "(CF^True_none, T)": 1,
-            "(IP^32_wait, T)": 1, "(OF^True_none, T)": 1,
-            "(P[Clean]^15_none, T)": 1, "(P[Main]^3_none, T)": 1,
-            "(P[Test(2)]^7_none, T)": 1, "(V[#]^'x'_none, T)": 1,
-            "(V[x]^'x'_none, T)": 1, "(V[y]^'y'_true, T)": 1,
+            "('x', F)": 21, "('y', F)": 11, "(CF^False_none, F)": 1,
+            "(IP^9_none, F)": 1, "(OF^False_none, F)": 1,
+            "(P[Clean]^10_none, F)": 1, "(P[Main]^3_none, F)": 1,
+            "(P[Test(2)]^7_none, F)": 1, "(V[#]^'x'_none, F)": 1,
+            "(V[x]^'x'_none, F)": 1, "(V[y]^'y'_none, F)": 1,
         },
     ),
     (

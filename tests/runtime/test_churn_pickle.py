@@ -1,6 +1,6 @@
 """Resized configurations cross the pool: a Multiset/DenseConfig that
-grew or shrank under churn must pickle cleanly, and change hooks and
-accepting counts must re-attach exactly on the other side."""
+grew or shrank under churn must pickle cleanly, and an index and the
+accepting counts must rebuild exactly on the other side."""
 
 import os
 import pickle
@@ -15,7 +15,7 @@ from repro.runtime.pool import parallel_map
 
 def _resize(config):
     """Five agents join in ``X`` and two leave ``Y`` — a churn resize
-    through the multiset's own change hooks."""
+    through the multiset's own ``inc``/``dec``."""
     config.inc("X", 5)
     config.dec("Y", 2)
 
@@ -43,19 +43,16 @@ class TestMultisetResizeRoundtrip:
     def test_hooks_reattach_after_resize_roundtrip(self):
         pp = majority_protocol()
         config = Multiset({"X": 6, "Y": 3})
-        index = EnabledIndex(pp)
-        index.attach(config)
         _resize(config)
 
         clone = pickle.loads(pickle.dumps(config))
-        assert clone._watchers is None  # hooks never cross the boundary
-
-        reattached = EnabledIndex(pp)
-        reattached.attach(clone)
-        reattached.validate(clone)
-        assert reattached.population == config.size
-        clone.inc("X")  # the re-attached hook is live
-        reattached.validate(clone)
+        index = EnabledIndex(pp)
+        index.rebuild(clone)
+        index.validate(clone)
+        assert index.population == config.size
+        clone.inc("X")
+        index.update(((index.table.sid["X"], 1),))
+        index.validate(clone)
 
     def test_resized_config_crosses_a_real_pool(self):
         config = self._resized()
@@ -96,7 +93,6 @@ class TestDenseConfigResizeRoundtrip:
     def test_accepting_counts_reattach_after_roundtrip(self):
         pp, states, dense, accepting = self._resized()
         clone = pickle.loads(pickle.dumps(dense))
-        assert clone._watchers is None
 
         # Re-derive the accepting count from the clone's dense vector:
         # it must match a from-scratch recount of the multiset contents.

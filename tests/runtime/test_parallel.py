@@ -177,11 +177,13 @@ def _tree(attempts: int):
     )
 
 
-#: ``decide`` at jobs=1, recorded before the executors were unified.
+#: ``decide`` at jobs=1, recorded before the executors were unified;
+#: ``("binary5", 9)`` was re-recorded when the fast path began to report
+#: a sole enabled candidate's stretch as one event per step.
 #: The e2e harness's traced replay of compiled-sweep reads this stream.
 DECIDE_PINS = {
     ("binary5", 3): (True, 156, "090f49756fa16dfd", 2, 73, "0d95ac31611b92df", _tree(2)),
-    ("binary5", 9): (True, 210, "413c5343bba373fc", 3, 102, "0faab4e9d2c81583", _tree(3)),
+    ("binary5", 9): (True, 217, "d2a7df75155f518b", 3, 102, "81d6d038b4e70e5d", _tree(3)),
     ("binary5", 0): (
         "protocol 'binary-threshold(k=5)' did not stabilise on |C|=7 "
         "within the budget (3 attempts)",
